@@ -38,27 +38,32 @@ class DensityReport:
         return max(r.rel_err for r in self.rows)
 
 
-def _checkpoint_rows(result: CensusResult, i: int) -> tuple[DensityRow, ...]:
+def density_rows(result: CensusResult) -> tuple[tuple[DensityRow, ...], ...]:
+    """Empirical psi_pm/x against the closed-form densities, one tuple of
+    p rows (ascending a) per checkpoint."""
     p = result.config.p
-    x = result.config.norm_bounds[i]
     fold = result.folded()
-    rows = []
-    for a in range(p):
-        pred = predicted_density(p, a)
-        predf = float(pred)
-        emp = fold[i, a] / x
-        rows.append(
-            DensityRow(
-                a=a,
-                psi_a=float(result.psi[i, a]),
-                psi_pm=float(fold[i, a]),
-                predicted=pred,
-                empirical=emp,
-                abs_err=abs(emp - predf),
-                rel_err=abs(emp - predf) / predf,
+    preds = [predicted_density(p, a) for a in range(p)]
+    out = []
+    for i, x in enumerate(result.config.norm_bounds):
+        rows = []
+        for a, pred in enumerate(preds):
+            predf = float(pred)
+            pm = float(fold[i, a])
+            emp = pm / x
+            rows.append(
+                DensityRow(
+                    a=a,
+                    psi_a=float(result.psi[i, a]),
+                    psi_pm=pm,
+                    predicted=pred,
+                    empirical=emp,
+                    abs_err=abs(emp - predf),
+                    rel_err=abs(emp - predf) / predf,
+                )
             )
-        )
-    return tuple(rows)
+        out.append(tuple(rows))
+    return tuple(out)
 
 
 def density_report(result: CensusResult, checkpoint: int = -1) -> DensityReport:
@@ -67,19 +72,16 @@ def density_report(result: CensusResult, checkpoint: int = -1) -> DensityReport:
     The trend table carries the max-over-residues relative error at every
     checkpoint; the requested checkpoint supplies the detailed rows.
     """
-    n = len(result.config.norm_bounds)
-    i = range(n)[checkpoint]
-    rows = _checkpoint_rows(result, i)
+    all_rows = density_rows(result)
+    i = range(len(all_rows))[checkpoint]
+    rows = all_rows[i]
     assert sum(r.predicted for r in rows) == 1
-    trend = []
-    for j in range(n):
-        jrows = _checkpoint_rows(result, j)
-        trend.append((result.config.norm_bounds[j], max(r.rel_err for r in jrows)))
+    xs = result.config.norm_bounds
     return DensityReport(
         p=result.config.p,
-        x=result.config.norm_bounds[i],
+        x=xs[i],
         rows=rows,
-        trend=tuple(trend),
+        trend=tuple((x, max(r.rel_err for r in xrows)) for x, xrows in zip(xs, all_rows)),
         pre_asymptotic=bool(result.psi[i].sum() == 0.0),
     )
 

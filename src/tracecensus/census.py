@@ -7,19 +7,19 @@ primitive reduced cycles of discriminant D and eps_D is the fundamental
 totally positive unit.  The per-residue totals divided by x are the
 quantities whose limits the closed-form conjugacy masses predict.
 
-Parallel runs are bit-for-bit identical to serial runs by construction:
-the trace range is cut into fixed-size chunks independent of the worker
-count, every chunk accumulates its partial sums in ascending t order with
-compensated addition, checkpoint snapshots are taken inside the owning
-chunk, and the merge folds chunk totals in ascending chunk order.
+Each line's weight is computed from t alone, so the walk can be split
+into tasks in any way.  The line weights are stored in a vector indexed by
+t and every residue mass is one math.fsum (Shewchuk's correctly rounded
+summation) over its lines, so serial and parallel runs, and any split of
+the trace range, give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,18 +87,17 @@ def matrix_from_form(t: int, m: int, form: Form) -> tuple[int, int, int, int]:
 class RunConfig:
     """Parameters of one census run.
 
-    norm_bounds are the checkpoint values of x, ascending.  chunk_traces
-    fixes the trace-line chunking and therefore the exact floating point
-    result; workers only changes how chunks are distributed.  With the
-    analytic backend, line weights for discriminants above delta_switch
-    come from the L-value closed form instead of cycle counting; class
-    resolution then has no representatives to classify and is refused.
+    norm_bounds are the checkpoint values of x, ascending.  workers is the
+    number of processes the trace lines are spread over; it never changes
+    the result.  With the analytic backend, line weights for discriminants
+    above delta_switch come from the L-value closed form instead of cycle
+    counting; class resolution then has no representatives to classify
+    and is refused.
     """
 
     p: int
     norm_bounds: tuple[int, ...]
     workers: int = 1
-    chunk_traces: int = 512
     resolve_classes: bool = False
     backend: str = "exact"
     delta_switch: int = 10**6
@@ -113,8 +112,6 @@ class RunConfig:
             raise ValueError("norm bounds must be strictly increasing")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.chunk_traces < 8:
-            raise ValueError("chunk_traces must be at least 8")
         if self.backend not in ("exact", "analytic"):
             raise ValueError("backend must be exact or analytic")
         if self.backend == "analytic" and self.resolve_classes:
@@ -144,15 +141,6 @@ class CensusResult:
         return 0.5 * (self.psi + self.psi[:, idx])
 
 
-def _acc(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
-
-
 _W: dict = {}
 
 
@@ -165,49 +153,43 @@ def _init_worker(p: int, table: SpfTable, resolve: bool,
     _W["delta_switch"] = delta_switch
     if resolve:
         labels = tuple(c.label for c in sl2fp.class_list(p))
-        _W["labels"] = labels
         _W["label_index"] = {lab: i for i, lab in enumerate(labels)}
     else:
-        _W["labels"] = None
         _W["label_index"] = None
 
 
-def _chunk_task(args: tuple[int, int, tuple[tuple[int, int], ...]]):
-    """Process traces t_lo..t_hi; snapshot at the listed (t, checkpoint) marks.
+def _line_weights(ts: range) -> tuple[list[float], list[list[float]]]:
+    """Weight of every trace line t in ts, and its split over classes.
 
-    Returns (snapshots, psi_sum, psi_comp, cls_sum, cls_comp) where each
-    snapshot is (checkpoint_index, psi_sum, psi_comp, cls_sum, cls_comp)
-    copied at the moment trace t finished.
+    Each line's weight (and split) is a function of t alone: its terms are
+    added in ascending (m, form) order, and the per-discriminant caches
+    only hold values that do not depend on which line filled them.
     """
-    t_lo, t_hi, marks = args
     p: int = _W["p"]
     table: SpfTable = _W["table"]
     resolve: bool = _W["resolve"]
     analytic: bool = _W["backend"] == "analytic"
     delta_switch: int = _W["delta_switch"]
     label_index = _W["label_index"]
-    ncls = len(_W["labels"]) if resolve else 0
+    ncls = len(label_index) if resolve else 0
     if analytic:
         from .lfunctions import l_value
 
-    psi_s = [0.0] * p
-    psi_c = [0.0] * p
-    cls_s = [0.0] * ncls
-    cls_c = [0.0] * ncls
-    snaps = []
-    mi = 0
+    weights = []
+    splits = []
     cache: dict[int, tuple[int, float, tuple[Form, ...]]] = {}
     lw_cache: dict[int, float] = {}
 
-    for t in range(t_lo, t_hi + 1):
+    for t in ts:
+        w_line = 0.0
+        split = [0.0] * ncls
         for m, d in trace_decompositions(t, table):
-            a = t % p
             if analytic and d > delta_switch:
                 w = lw_cache.get(d)
                 if w is None:
                     w = 2.0 * math.sqrt(d) * l_value(d, table)
                     lw_cache[d] = w
-                psi_s[a], psi_c[a] = _acc(psi_s[a], psi_c[a], w)
+                w_line += w
                 continue
             data = cache.get(d)
             if data is None:
@@ -216,32 +198,44 @@ def _chunk_task(args: tuple[int, int, tuple[tuple[int, int], ...]]):
                 data = (h, unit_log(tau0), tuple(reps) if resolve else ())
                 cache[d] = data
             h, logeps, reps = data
-            psi_s[a], psi_c[a] = _acc(psi_s[a], psi_c[a], h * 2.0 * logeps)
-            if resolve:
-                w = 2.0 * logeps
-                for form in reps:
-                    mat = matrix_from_form(t, m, form)
-                    label = sl2fp.classify(tuple(v % p for v in mat), p)
-                    k = label_index[label]
-                    cls_s[k], cls_c[k] = _acc(cls_s[k], cls_c[k], w)
-        while mi < len(marks) and marks[mi][0] == t:
-            snaps.append((marks[mi][1], psi_s[:], psi_c[:], cls_s[:], cls_c[:]))
-            mi += 1
-    return snaps, psi_s, psi_c, cls_s, cls_c
+            w_line += h * 2.0 * logeps
+            for form in reps:
+                mat = matrix_from_form(t, m, form)
+                label = sl2fp.classify(tuple(v % p for v in mat), p)
+                split[label_index[label]] += 2.0 * logeps
+        weights.append(w_line)
+        splits.append(split)
+    return weights, splits
 
 
-def _plan_chunks(t_max: int, chunk: int,
-                 checkpoints: Sequence[tuple[int, int]]) -> list[tuple[int, int, tuple]]:
-    """Cut [3, t_max] into fixed chunks and assign each checkpoint mark
-    to the chunk that contains its trace bound."""
-    plans = []
-    lo = 3
-    while lo <= t_max:
-        hi = min(lo + chunk - 1, t_max)
-        marks = tuple((tb, i) for tb, i in checkpoints if lo <= tb <= hi)
-        plans.append((lo, hi, marks))
-        lo = hi + 1
-    return plans
+def _task_ranges(t_max: int, workers: int) -> list[range]:
+    """Trace lines per pool task: one task serially, else 8 per worker.
+
+    The tasks are strided rather than contiguous because the cost of a
+    line grows like t^3; striding gives every task a similar share.
+    """
+    if workers == 1:
+        return [range(3, t_max + 1)]
+    n = 8 * workers
+    return [range(3 + i, t_max + 1, n) for i in range(min(n, t_max - 2))]
+
+
+def _reduce(tasks: Sequence[range], results, tbounds: Sequence[int], p: int,
+            ncls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checkpointed residue and class masses from per-line task results.
+
+    Line weights land in vectors indexed by t, and every mass is one
+    correctly rounded math.fsum over its lines, so the result does not
+    depend on how the lines were split into tasks.
+    """
+    w = np.zeros(tbounds[-1] + 1)
+    cw = np.zeros((tbounds[-1] + 1, ncls))
+    for ts, (weights, splits) in zip(tasks, results):
+        w[ts] = weights
+        cw[ts] = np.reshape(splits, (len(ts), ncls))
+    psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])
+    cls = np.array([[math.fsum(cw[: tb + 1, k]) for k in range(ncls)] for tb in tbounds])
+    return psi, cls
 
 
 def required_table_limit(x: int, backend: str = "exact") -> int:
@@ -319,61 +313,33 @@ def run_census(config: RunConfig, table: SpfTable | None = None) -> CensusResult
     x_final = config.norm_bounds[-1]
     if table is None:
         table = build_spf_table(required_table_limit(x_final, config.backend))
-    t_final = trace_bound(x_final)
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
-    checkpoints = [(tb, i) for i, tb in enumerate(tbounds) if tb >= 3]
-    plans = _plan_chunks(t_final, config.chunk_traces, checkpoints)
+    tasks = _task_ranges(tbounds[-1], config.workers)
 
     p = config.p
-    ncheck = len(config.norm_bounds)
     if config.resolve_classes:
         labels = tuple(c.label for c in sl2fp.class_list(p))
     else:
         labels = None
-    ncls = len(labels) if labels else 0
+    initargs = (p, table, config.resolve_classes, config.backend, config.delta_switch)
 
-    if config.workers > 1 and len(plans) > 1:
+    if len(tasks) > 1:
         with ProcessPoolExecutor(
-            max_workers=min(config.workers, len(plans)),
+            max_workers=min(config.workers, len(tasks)),
             initializer=_init_worker,
-            initargs=(p, table, config.resolve_classes, config.backend, config.delta_switch),
+            initargs=initargs,
         ) as ex:
-            results = list(ex.map(_chunk_task, plans))
+            results = list(ex.map(_line_weights, tasks))
     else:
-        _init_worker(p, table, config.resolve_classes, config.backend, config.delta_switch)
-        results = [_chunk_task(plan) for plan in plans]
+        _init_worker(*initargs)
+        results = [_line_weights(ts) for ts in tasks]
 
-    psi = np.zeros((ncheck, p))
-    cls = np.zeros((ncheck, ncls)) if labels else None
-    run_ps = [0.0] * p
-    run_pc = [0.0] * p
-    run_cs = [0.0] * ncls
-    run_cc = [0.0] * ncls
-
-    for snaps, tot_ps, tot_pc, tot_cs, tot_cc in results:
-        for ci, sp_s, sp_c, sc_s, sc_c in snaps:
-            for a in range(p):
-                v, c = run_ps[a], run_pc[a]
-                v, c = _acc(v, c, sp_s[a])
-                v, c = _acc(v, c, sp_c[a])
-                psi[ci, a] = v + c
-            for k in range(ncls):
-                v, c = run_cs[k], run_cc[k]
-                v, c = _acc(v, c, sc_s[k])
-                v, c = _acc(v, c, sc_c[k])
-                cls[ci, k] = v + c
-        for a in range(p):
-            run_ps[a], run_pc[a] = _acc(run_ps[a], run_pc[a], tot_ps[a])
-            run_ps[a], run_pc[a] = _acc(run_ps[a], run_pc[a], tot_pc[a])
-        for k in range(ncls):
-            run_cs[k], run_cc[k] = _acc(run_cs[k], run_cc[k], tot_cs[k])
-            run_cs[k], run_cc[k] = _acc(run_cs[k], run_cc[k], tot_cc[k])
-
+    psi, cls = _reduce(tasks, results, tbounds, p, len(labels) if labels else 0)
     return CensusResult(
         config=config,
         trace_bounds=tbounds,
         psi=psi,
         class_labels=labels,
-        class_psi=cls,
+        class_psi=cls if labels else None,
         table_limit=table.limit,
     )

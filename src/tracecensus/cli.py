@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import class_report, error_exponent_fit
+from .analysis import class_report, density_rows, error_exponent_fit
 from .census import RunConfig, run_census, trace_bound, unit_power_oracle
 from .numtheory import build_spf_table
 from .quadforms import (
@@ -94,12 +94,11 @@ def _series_doc(results) -> dict:
     cfg = results[0].config
     doc = {
         "format": "census_series",
-        "format_version": 1,
+        "format_version": 2,
         "package_version": __version__,
         "config": {
             "norm_bounds": list(cfg.norm_bounds),
             "workers": cfg.workers,
-            "chunk_traces": cfg.chunk_traces,
             "backend": cfg.backend,
             "delta_switch": cfg.delta_switch,
             "resolve_classes": cfg.resolve_classes,
@@ -108,26 +107,21 @@ def _series_doc(results) -> dict:
     }
     for res in results:
         p = res.config.p
-        fold = res.folded()
-        rows = []
-        for i, x in enumerate(res.config.norm_bounds):
-            for a in range(p):
-                pred = predicted_density(p, a)
-                predf = float(pred)
-                pm = float(fold[i, a])
-                rows.append(
-                    {
-                        "x": x,
-                        "a": a,
-                        "psi_a": float(res.psi[i, a]),
-                        "psi_pm": pm,
-                        "predicted": predf,
-                        "predicted_num": pred.numerator,
-                        "predicted_den": pred.denominator,
-                        "abs_err": abs(pm / x - predf),
-                        "rel_err": abs(pm / x - predf) / predf,
-                    }
-                )
+        rows = [
+            {
+                "x": x,
+                "a": row.a,
+                "psi_a": row.psi_a,
+                "psi_pm": row.psi_pm,
+                "predicted": float(row.predicted),
+                "predicted_num": row.predicted.numerator,
+                "predicted_den": row.predicted.denominator,
+                "abs_err": row.abs_err,
+                "rel_err": row.rel_err,
+            }
+            for x, xrows in zip(res.config.norm_bounds, density_rows(res))
+            for row in xrows
+        ]
         totals = [
             {"x": x, "psi": float(res.psi_total()[i]), "ratio": float(res.psi_total()[i]) / x}
             for i, x in enumerate(res.config.norm_bounds)
@@ -164,24 +158,10 @@ def _series_csv(results) -> str:
     lines = [CSV_HEADER]
     for res in results:
         p = res.config.p
-        fold = res.folded()
-        for i, x in enumerate(res.config.norm_bounds):
-            for a in range(p):
-                predf = float(predicted_density(p, a))
-                pm = float(fold[i, a])
-                lines.append(
-                    "%d,%d,%d,%s,%s,%s,%s,%s"
-                    % (
-                        x,
-                        p,
-                        a,
-                        _fmt(float(res.psi[i, a])),
-                        _fmt(pm),
-                        _fmt(predf),
-                        _fmt(abs(pm / x - predf)),
-                        _fmt(abs(pm / x - predf) / predf),
-                    )
-                )
+        for x, xrows in zip(res.config.norm_bounds, density_rows(res)):
+            for row in xrows:
+                values = (row.psi_a, row.psi_pm, float(row.predicted), row.abs_err, row.rel_err)
+                lines.append("%d,%d,%d," % (x, p, row.a) + ",".join(_fmt(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -193,7 +173,6 @@ def _cmd_census(args) -> int:
             p=p,
             norm_bounds=xs,
             workers=_threads(args),
-            chunk_traces=args.chunk_traces,
             backend=args.backend,
             delta_switch=args.delta_switch,
         )
@@ -255,7 +234,6 @@ def _cmd_by_class(args) -> int:
         p=args.p[0] if isinstance(args.p, list) else args.p,
         norm_bounds=_checkpoint_grid(args.x, args.checkpoints),
         workers=_threads(args),
-        chunk_traces=args.chunk_traces,
         resolve_classes=True,
     )
     res = run_census(cfg)
@@ -288,7 +266,7 @@ def _cmd_by_class(args) -> int:
 
 def _cmd_psi(args) -> int:
     xs = _checkpoint_grid(args.x, args.checkpoints)
-    cfg = RunConfig(p=2, norm_bounds=xs, workers=_threads(args), chunk_traces=args.chunk_traces)
+    cfg = RunConfig(p=2, norm_bounds=xs, workers=_threads(args))
     res = run_census(cfg)
     buf = io.StringIO()
     buf.write("%12s %8s %20s %12s %12s\n" % ("x", "T(x)", "psi", "psi/x", "|psi/x-1|"))
@@ -429,9 +407,9 @@ def _cmd_verify(args) -> int:
     # determinism across worker counts
     ok = True
     for p in args.p:
-        base = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=1, chunk_traces=16))
+        base = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=1))
         for w in (4, 8):
-            other = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=w, chunk_traces=16))
+            other = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=w))
             ok = ok and np.array_equal(base.psi, other.psi)
     report(ok, "parallel-determinism", "workers 1/4/8")
 
@@ -455,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="prime modulus, repeatable (default %s)" % (default_p,),
             )
         sp.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
-        sp.add_argument("--chunk-traces", type=int, default=512, help="trace lines per chunk (default 512)")
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("census", help="run the residue-mass census")
@@ -463,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoints", type=int, default=20, help="geometric grid points from 100 to x (default 20)")
     sp.add_argument("--backend", choices=("exact", "analytic"), default="exact")
     sp.add_argument("--delta-switch", type=int, default=10**6, help="analytic crossover discriminant (default 1e6)")
-    sp.add_argument(
-        "--l-tol",
-        type=float,
-        default=1e-4,
-        help="reserved: the analytic route is exact to roundoff, no tolerance is consumed",
-    )
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(sp)
     sp.set_defaults(func=_cmd_census)

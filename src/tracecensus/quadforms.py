@@ -6,7 +6,7 @@ ones: proper equivalence under SL2(Z), which is what matches counting
 conjugacy classes of matrices and norm-one units of the order O_D.
 
 Two independent enumeration routes are kept on purpose.  reduced_forms
-walks a plain b-window scan (the kernel); reduced_forms_via_roots solves
+walks a plain b-window scan; reduced_forms_via_roots solves
 b^2 = D mod 4a by factoring and lifting.  The verify machinery compares
 them, so neither can silently drift.
 """
@@ -16,13 +16,9 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from . import _kernels
 from .numtheory import SpfTable, is_square, sqrt_mod
 
 Form = tuple[int, int, int]
-
-# int64 ceiling for the kernel; leaves headroom for 9*D in the reduced test
-_KERNEL_MAX_D = 4 * 10**17
 
 
 def valid_discriminant(D: int) -> bool:
@@ -110,12 +106,26 @@ def apply_sl2(form: Form, mat: tuple[int, int, int, int]) -> Form:
 
 
 def reduced_forms(D: int) -> list[Form]:
-    """All primitive reduced forms of discriminant D, sorted.  Kernel route."""
+    """All primitive reduced forms of discriminant D, sorted.  Scan route.
+
+    For every leading coefficient a >= 1, scans the b-window that a
+    reduced form needs (|sqrt(D) - 2a| < b <= isqrt(D), b = D mod 2) and
+    keeps (a, b, c) and (-a, b, -c) whenever 4a divides b^2 - D.
+    """
     require_discriminant(D)
-    if D > _KERNEL_MAX_D:
-        raise ValueError("discriminant %d exceeds the int64 kernel domain" % D)
-    arr = _kernels._enum_reduced(D)
-    forms = [(int(r[0]), int(r[1]), int(r[2])) for r in arr]
+    s = math.isqrt(D)
+    forms: list[Form] = []
+    for a in range(1, s + 1):
+        foura = 4 * a
+        lo = max(s - 2 * a + 1, 2 * a - s, 1)
+        if (lo ^ D) & 1:
+            lo += 1
+        for b in range(lo, s + 1, 2):
+            if (b * b - D) % foura == 0:
+                c = (b * b - D) // foura
+                if math.gcd(a, b, c) == 1:
+                    forms.append((a, b, c))
+                    forms.append((-a, b, -c))
     forms.sort()
     return forms
 
@@ -123,7 +133,7 @@ def reduced_forms(D: int) -> list[Form]:
 def reduced_forms_via_roots(D: int, table: SpfTable) -> list[Form]:
     """Same set as reduced_forms, by solving b^2 = D (mod 4a) per a.
 
-    Independent of the kernel scan: uses factorization, Tonelli-Shanks,
+    Independent of the b-window scan: uses factorization, Tonelli-Shanks,
     Hensel lifting and CRT from numtheory.  The spf table must cover 4a
     for every a <= isqrt(D), i.e. table.limit >= 4 * isqrt(D).
     """

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracecensus import census
 from tracecensus.census import (
     CensusResult,
     RunConfig,
@@ -103,9 +106,9 @@ def test_census_against_discriminant_scan(p):
 
 def test_checkpoints_match_individual_runs():
     xs = (40, 100, 700, 2500)
-    combined = run_census(RunConfig(p=7, norm_bounds=xs, chunk_traces=16))
+    combined = run_census(RunConfig(p=7, norm_bounds=xs))
     for i, x in enumerate(xs):
-        single = run_census(RunConfig(p=7, norm_bounds=(x,), chunk_traces=16))
+        single = run_census(RunConfig(p=7, norm_bounds=(x,)))
         assert np.array_equal(combined.psi[i], single.psi[0]), x
 
 
@@ -117,20 +120,52 @@ def test_tiny_bound_has_empty_census():
 
 
 def test_worker_count_does_not_change_bits():
-    cfg1 = RunConfig(p=7, norm_bounds=(150, 4000), chunk_traces=16, workers=1)
-    cfg3 = RunConfig(p=7, norm_bounds=(150, 4000), chunk_traces=16, workers=3)
+    cfg1 = RunConfig(p=7, norm_bounds=(150, 4000), workers=1)
+    cfg3 = RunConfig(p=7, norm_bounds=(150, 4000), workers=3)
     r1 = run_census(cfg1)
     r3 = run_census(cfg3)
     assert np.array_equal(r1.psi, r3.psi)
 
 
 def test_worker_count_does_not_change_bits_with_classes():
-    kw = dict(p=5, norm_bounds=(120, 3000), chunk_traces=16, resolve_classes=True)
+    kw = dict(p=5, norm_bounds=(120, 3000), resolve_classes=True)
     r1 = run_census(RunConfig(workers=1, **kw))
     r4 = run_census(RunConfig(workers=4, **kw))
     assert np.array_equal(r1.psi, r4.psi)
     assert np.array_equal(r1.class_psi, r4.class_psi)
     assert r1.class_labels == r4.class_labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(1, 3000),
+    p=st.sampled_from([2, 3, 5, 7]),
+    resolve=st.booleans(),
+    strided=st.booleans(),
+    data=st.data(),
+)
+def test_any_task_partition_gives_identical_bits(x, p, resolve, strided, data):
+    extra = data.draw(st.sets(st.integers(1, x), max_size=3))
+    single = run_census(
+        RunConfig(p=p, norm_bounds=tuple(sorted(extra | {x})), resolve_classes=resolve),
+        table=TABLE,
+    )
+    t_max = single.trace_bounds[-1]
+    if strided:
+        n = data.draw(st.integers(1, max(1, t_max - 2)))
+        tasks = [range(3 + i, t_max + 1, n) for i in range(n)]
+    else:
+        cuts = data.draw(st.sets(st.integers(3, t_max + 1), max_size=8))
+        bounds = sorted(cuts | {3, t_max + 1})
+        tasks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    tasks = data.draw(st.permutations(tasks))
+    census._init_worker(p, TABLE, resolve)
+    results = [census._line_weights(ts) for ts in tasks]
+    ncls = len(single.class_labels) if resolve else 0
+    psi, cls = census._reduce(tasks, results, single.trace_bounds, p, ncls)
+    assert psi.tobytes() == single.psi.tobytes()
+    if resolve:
+        assert cls.tobytes() == single.class_psi.tobytes()
 
 
 def test_class_resolution_consistency():
@@ -175,8 +210,6 @@ def test_config_validation():
         RunConfig(p=5, norm_bounds=(200, 100))
     with pytest.raises(ValueError):
         RunConfig(p=5, norm_bounds=(100,), workers=0)
-    with pytest.raises(ValueError):
-        RunConfig(p=5, norm_bounds=(100,), chunk_traces=4)
     with pytest.raises(ValueError):
         trace_decompositions(2, TABLE)
     with pytest.raises(ValueError):

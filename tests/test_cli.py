@@ -48,7 +48,7 @@ def test_census_csv_deterministic(capsys, tmp_path):
     for path, threads in ((a, "1"), (b, "3")):
         code, _, _ = run(
             capsys, "census", "--x", "900", "--p", "5", "--checkpoints", "3",
-            "--threads", threads, "--chunk-traces", "8", "--out", str(path),
+            "--threads", threads, "--out", str(path),
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
@@ -64,7 +64,7 @@ def test_census_json_matches_schema(capsys, tmp_path):
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, load_schema())
     assert doc["format"] == "census_series"
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     series = doc["series"][0]
     assert series["p"] == 3
     xs = sorted({row["x"] for row in series["rows"]})
@@ -183,14 +183,14 @@ def test_threads_env_overrides_flag(capsys, tmp_path, monkeypatch):
     base = tmp_path / "base.csv"
     code, _, _ = run(
         capsys, "census", "--x", "700", "--p", "3", "--checkpoints", "2",
-        "--chunk-traces", "8", "--out", str(base),
+        "--out", str(base),
     )
     assert code == 0
     monkeypatch.setenv("TRACECENSUS_THREADS", "2")
     over = tmp_path / "env.csv"
     code, _, _ = run(
         capsys, "census", "--x", "700", "--p", "3", "--checkpoints", "2",
-        "--chunk-traces", "8", "--threads", "1", "--out", str(over),
+        "--threads", "1", "--out", str(over),
     )
     assert code == 0
     assert base.read_bytes() == over.read_bytes()
