@@ -33,7 +33,6 @@ from .numtheory import SpfTable, build_spf_table, factorize, kronecker
 from .quadforms import (
     class_number,
     class_number_and_reps,
-    class_weight,
     fundamental_unit,
     pell_from_known,
     reduced_forms,
@@ -67,7 +66,6 @@ __all__ = [
     "class_number",
     "class_number_and_reps",
     "class_report",
-    "class_weight",
     "classify",
     "density_error_series",
     "density_report",

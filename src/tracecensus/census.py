@@ -144,18 +144,11 @@ class CensusResult:
 _W: dict = {}
 
 
-def _init_worker(p: int, table: SpfTable, resolve: bool,
-                 backend: str = "exact", delta_switch: int = 10**6) -> None:
-    _W["p"] = p
+def _init_worker(config: RunConfig, table: SpfTable) -> None:
+    _W["config"] = config
     _W["table"] = table
-    _W["resolve"] = resolve
-    _W["backend"] = backend
-    _W["delta_switch"] = delta_switch
-    if resolve:
-        labels = tuple(c.label for c in sl2fp.class_list(p))
-        _W["label_index"] = {lab: i for i, lab in enumerate(labels)}
-    else:
-        _W["label_index"] = None
+    classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
+    _W["label_index"] = {c.label: i for i, c in enumerate(classes)}
 
 
 def _line_weights(ts: range) -> tuple[list[float], list[list[float]]]:
@@ -165,13 +158,13 @@ def _line_weights(ts: range) -> tuple[list[float], list[list[float]]]:
     added in ascending (m, form) order, and the per-discriminant caches
     only hold values that do not depend on which line filled them.
     """
-    p: int = _W["p"]
+    config: RunConfig = _W["config"]
     table: SpfTable = _W["table"]
-    resolve: bool = _W["resolve"]
-    analytic: bool = _W["backend"] == "analytic"
-    delta_switch: int = _W["delta_switch"]
-    label_index = _W["label_index"]
-    ncls = len(label_index) if resolve else 0
+    label_index: dict = _W["label_index"]
+    p = config.p
+    resolve = config.resolve_classes
+    analytic = config.backend == "analytic"
+    ncls = len(label_index)
     if analytic:
         from .lfunctions import l_value
 
@@ -184,7 +177,7 @@ def _line_weights(ts: range) -> tuple[list[float], list[list[float]]]:
         w_line = 0.0
         split = [0.0] * ncls
         for m, d in trace_decompositions(t, table):
-            if analytic and d > delta_switch:
+            if analytic and d > config.delta_switch:
                 w = lw_cache.get(d)
                 if w is None:
                     w = 2.0 * math.sqrt(d) * l_value(d, table)
@@ -272,10 +265,11 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
     raise ValueError("unknown backend %r" % backend)
 
 
-def unit_power_oracle(x: int, p: int, d_bound: int | None = None) -> np.ndarray:
+def unit_power_oracle(x: int, p: int) -> np.ndarray:
     """Per-residue census by scanning discriminants instead of traces.
 
-    For every valid discriminant up to d_bound, finds the fundamental
+    For every valid discriminant D <= T(x)^2 - 4 (the largest any trace
+    line up to T(x) = trace_bound(x) can carry), finds the fundamental
     unit by an exhaustive scan over s (complete because a unit of norm
     at most x has s at most 2 sqrt(x) / sqrt(D)), then walks the trace
     recurrence over its powers.  Slow and quadratic; it exists purely as
@@ -284,10 +278,8 @@ def unit_power_oracle(x: int, p: int, d_bound: int | None = None) -> np.ndarray:
     """
     sl2fp._require_prime(p)
     tmax = trace_bound(x)
-    if d_bound is None:
-        d_bound = max(tmax * tmax - 4, 5)
     psi = np.zeros(p)
-    for d in range(5, d_bound + 1):
+    for d in range(5, tmax * tmax - 4 + 1):
         if not valid_discriminant(d):
             continue
         smax = (2 * math.isqrt(x) + 2) // math.isqrt(d) + 1
@@ -308,11 +300,9 @@ def unit_power_oracle(x: int, p: int, d_bound: int | None = None) -> np.ndarray:
     return psi
 
 
-def run_census(config: RunConfig, table: SpfTable | None = None) -> CensusResult:
+def run_census(config: RunConfig) -> CensusResult:
     """Run the census at every checkpoint in config.norm_bounds."""
-    x_final = config.norm_bounds[-1]
-    if table is None:
-        table = build_spf_table(required_table_limit(x_final, config.backend))
+    table = build_spf_table(required_table_limit(config.norm_bounds[-1], config.backend))
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
     tasks = _task_ranges(tbounds[-1], config.workers)
 
@@ -321,17 +311,16 @@ def run_census(config: RunConfig, table: SpfTable | None = None) -> CensusResult
         labels = tuple(c.label for c in sl2fp.class_list(p))
     else:
         labels = None
-    initargs = (p, table, config.resolve_classes, config.backend, config.delta_switch)
 
     if len(tasks) > 1:
         with ProcessPoolExecutor(
             max_workers=min(config.workers, len(tasks)),
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=(config, table),
         ) as ex:
             results = list(ex.map(_line_weights, tasks))
     else:
-        _init_worker(*initargs)
+        _init_worker(config, table)
         results = [_line_weights(ts) for ts in tasks]
 
     psi, cls = _reduce(tasks, results, tbounds, p, len(labels) if labels else 0)

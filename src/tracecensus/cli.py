@@ -5,8 +5,6 @@ verify (internal consistency gauntlet), by-class (class-resolved census),
 fit (error exponent from a stored series), psi (totals only).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or argument error.
-The environment variable TRACECENSUS_THREADS, when set, overrides the
---threads flag.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -51,19 +48,6 @@ def _fmt(v: float) -> str:
 
 def _label_str(label) -> str:
     return ":".join(str(part) for part in label)
-
-
-def _threads(args) -> int:
-    env = os.environ.get("TRACECENSUS_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError("TRACECENSUS_THREADS must be an integer, got %r" % env) from None
-        if n < 1:
-            raise ValueError("TRACECENSUS_THREADS must be positive")
-        return n
-    return args.threads
 
 
 def _checkpoint_grid(x_max: int, count: int) -> tuple[int, ...]:
@@ -134,22 +118,18 @@ def _series_doc(results) -> dict:
             "totals": totals,
         }
         if res.class_psi is not None:
-            masses = class_mass(p)
-            classes = []
-            for i, x in enumerate(res.config.norm_bounds):
-                for k, cls in enumerate(class_list(p)):
-                    pred = masses[cls.label]
-                    classes.append(
-                        {
-                            "x": x,
-                            "label": _label_str(cls.label),
-                            "trace": cls.trace,
-                            "empirical": float(res.class_psi[i, k]) / x,
-                            "predicted_num": pred.numerator,
-                            "predicted_den": pred.denominator,
-                        }
-                    )
-            entry["classes"] = classes
+            entry["classes"] = [
+                {
+                    "x": rep.x,
+                    "label": _label_str(row.label),
+                    "trace": row.trace,
+                    "empirical": float(row.empirical),
+                    "predicted_num": row.predicted.numerator,
+                    "predicted_den": row.predicted.denominator,
+                }
+                for rep in (class_report(res, i) for i in range(len(res.config.norm_bounds)))
+                for row in rep.rows
+            ]
         doc["series"].append(entry)
     return doc
 
@@ -172,7 +152,7 @@ def _cmd_census(args) -> int:
         cfg = RunConfig(
             p=p,
             norm_bounds=xs,
-            workers=_threads(args),
+            workers=args.threads,
             backend=args.backend,
             delta_switch=args.delta_switch,
         )
@@ -185,7 +165,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    p = args.p[0] if isinstance(args.p, list) else args.p
+    p = args.p
     classes = class_list(p)
     masses = class_mass(p)
     if args.format == "json":
@@ -231,9 +211,9 @@ def _cmd_classes(args) -> int:
 
 def _cmd_by_class(args) -> int:
     cfg = RunConfig(
-        p=args.p[0] if isinstance(args.p, list) else args.p,
+        p=args.p,
         norm_bounds=_checkpoint_grid(args.x, args.checkpoints),
-        workers=_threads(args),
+        workers=args.threads,
         resolve_classes=True,
     )
     res = run_census(cfg)
@@ -266,7 +246,7 @@ def _cmd_by_class(args) -> int:
 
 def _cmd_psi(args) -> int:
     xs = _checkpoint_grid(args.x, args.checkpoints)
-    cfg = RunConfig(p=2, norm_bounds=xs, workers=_threads(args))
+    cfg = RunConfig(p=2, norm_bounds=xs, workers=args.threads)
     res = run_census(cfg)
     buf = io.StringIO()
     buf.write("%12s %8s %20s %12s %12s\n" % ("x", "T(x)", "psi", "psi/x", "|psi/x-1|"))
@@ -326,7 +306,6 @@ def _load_error_series(path: str) -> dict[int, list[tuple[int, float]]]:
 
 def _cmd_verify(args) -> int:
     failures = 0
-    threads = _threads(args)
 
     def report(ok: bool, name: str, detail: str) -> None:
         nonlocal failures
@@ -397,7 +376,7 @@ def _cmd_verify(args) -> int:
     ok = True
     worst = 0.0
     for p in args.p:
-        res = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=threads))
+        res = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=args.threads))
         want = unit_power_oracle(args.x, p)
         gap = float(np.max(np.abs(res.psi[0] - want) / np.maximum(want, 1e-300)))
         worst = max(worst, gap)
@@ -424,16 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_primes=True, default_p=(5,)):
-        if with_primes:
-            sp.add_argument(
-                "--p",
-                type=int,
-                action="append",
-                help="prime modulus, repeatable (default %s)" % (default_p,),
-            )
+    def add_primes(sp, default_p):
+        sp.add_argument(
+            "--p",
+            type=int,
+            action="append",
+            help="prime modulus, repeatable (default %s)" % (default_p,),
+        )
+
+    def add_threads(sp):
         sp.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
-        sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("census", help="run the residue-mass census")
     sp.add_argument("--x", type=int, required=True, help="norm bound")
@@ -441,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--backend", choices=("exact", "analytic"), default="exact")
     sp.add_argument("--delta-switch", type=int, default=10**6, help="analytic crossover discriminant (default 1e6)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(sp)
+    add_primes(sp, (5,))
+    add_threads(sp)
+    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_census)
 
     sp = sub.add_parser("classes", help="print the conjugacy class table")
@@ -453,14 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the internal consistency suites")
     sp.add_argument("--x", type=int, default=500, help="norm bound for the census suites (default 500)")
     sp.add_argument("--bfs-cap", type=int, default=500, help="orbit-search ceiling for class counts (default 500)")
-    add_common(sp, default_p=(2, 3, 5, 7))
+    add_primes(sp, (2, 3, 5, 7))
+    add_threads(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("by-class", help="class-resolved census report")
     sp.add_argument("--x", type=int, default=10**4, help="norm bound (default 10000)")
     sp.add_argument("--checkpoints", type=int, default=1, help="geometric grid points (default 1: final bound only)")
+    sp.add_argument("--p", type=int, default=3, help="prime modulus (default 3)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(sp, default_p=(3,))
+    add_threads(sp)
+    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_by_class)
 
     sp = sub.add_parser("fit", help="error-exponent fit from a stored census report")
@@ -473,13 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("psi", help="totals only")
     sp.add_argument("--x", type=int, required=True, help="norm bound")
     sp.add_argument("--checkpoints", type=int, default=20, help="geometric grid points (default 20)")
-    add_common(sp, with_primes=False)
+    add_threads(sp)
+    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_psi)
 
     return parser
 
 
-_DEFAULT_PRIMES = {"census": [5], "verify": [2, 3, 5, 7], "by-class": [3]}
+_DEFAULT_PRIMES = {"census": [5], "verify": [2, 3, 5, 7]}
 
 
 def main(argv=None) -> int:

@@ -92,57 +92,26 @@ def is_probable_prime(n: int) -> bool:
 
 
 def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
+    """Prime factorization of n as a sorted list of (prime, exponent).
 
-    For n <= table.limit this is a pure table walk.  Larger n are trial
-    divided by the sieved primes; the surviving cofactor must be prime
-    (it is proven prime when <= limit^2, and Miller-Rabin checked above
-    that), otherwise the input is outside the supported domain.
+    A pure table walk, so 1 <= n <= table.limit is required and larger n
+    raise ValueError.  Callers size the table for what they factor: the
+    census sieve reaches 4T + 16 past every t +- 2, and
+    reduced_forms_via_roots checks that it covers every 4a it solves for.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1, got %r" % (n,))
-    if n == 1:
-        return []
+    if n > table.limit:
+        raise ValueError("factorize: %d exceeds the spf table limit %d" % (n, table.limit))
     out: list[tuple[int, int]] = []
-    if n <= table.limit:
-        spf = table.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-    # cofactor path: strip everything the table can see, then judge the rest
-    m = n
     spf = table.spf
-    limit = table.limit
-    if m % 2 == 0:
+    while n > 1:
+        p = int(spf[n])
         e = 0
-        while m % 2 == 0:
-            m //= 2
+        while n % p == 0:
+            n //= p
             e += 1
-        out.append((2, e))
-    p = 3
-    while p * p <= m and p <= limit:
-        if int(spf[p]) == p and m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 2
-    if m > 1:
-        if m <= limit * limit:
-            out.append((m, 1))  # no factor <= limit and m <= limit^2 => prime
-        elif is_probable_prime(m):
-            out.append((m, 1))
-        else:
-            raise ValueError(
-                "unsupported input: cofactor %d exceeds limit^2 and is composite" % m
-            )
-    out.sort()
+        out.append((p, e))
     return out
 
 

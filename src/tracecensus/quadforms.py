@@ -1,4 +1,4 @@
-"""Indefinite binary quadratic forms: reduction, cycles, class data, units.
+"""Reduced indefinite binary quadratic forms: cycles, class data, units.
 
 A form (a, b, c) stands for a x^2 + b x y + c y^2 with discriminant
 D = b^2 - 4ac > 0 and nonsquare.  Class counts here are strict (narrow)
@@ -30,67 +30,18 @@ def require_discriminant(D: int) -> None:
         raise ValueError("not a positive nonsquare discriminant: %r" % (D,))
 
 
-def discriminant(form: Form) -> int:
-    a, b, c = form
-    return b * b - 4 * a * c
+def rho(form: Form, D: int) -> Form:
+    """One cycle step of a reduced form: (a, b, c) -> (c, b', (b'^2 - D) / 4c).
 
-
-def principal_form(D: int) -> Form:
-    """The reduced form with a = 1 (largest b <= isqrt(D) of right parity)."""
-    require_discriminant(D)
-    s = math.isqrt(D)
-    b = s if (s - D) % 2 == 0 else s - 1
-    return (1, b, (b * b - D) // 4)
-
-
-def is_reduced(form: Form) -> bool:
-    """Integer-exact test of |sqrt(D) - 2|a|| < b < sqrt(D)."""
-    a, b, c = form
-    if a == 0 or b <= 0:
-        return False
-    D = b * b - 4 * a * c
-    if D <= 0 or b * b >= D:
-        return False
-    ta = 2 * abs(a)
-    if (ta + b) ** 2 <= D:
-        return False
-    if ta > b and (ta - b) ** 2 >= D:
-        return False
-    return True
-
-
-def rho(form: Form, D: int | None = None) -> Form:
-    """One cycle step: (a, b, c) -> (c, b', (b'^2 - D) / 4c).
-
-    b' is the representative of -b mod 2|c| in the window (s - 2|c|, s]
-    when |c| <= s, and in (-|c|, |c|] otherwise (the latter only matters
-    while reducing arbitrary forms).
+    b' is the representative of -b mod 2|c| in the window (s - 2|c|, s],
+    s = isqrt(D).  A reduced form has |c| < sqrt(D), so that window is the
+    one the cycle needs; class_cycles checks that every step lands back in
+    the reduced set.
     """
-    a, b, c = form
-    if D is None:
-        D = b * b - 4 * a * c
+    _, b, c = form
     s = math.isqrt(D)
-    M = 2 * abs(c)
-    r = (-b) % M
-    top = s if abs(c) <= s else abs(c)
-    b2 = top - ((top - r) % M)
-    c2 = (b2 * b2 - D) // (4 * c)
-    return (c, b2, c2)
-
-
-def reduce_form(form: Form) -> Form:
-    """Apply rho until the form is reduced.  Discriminant is preserved."""
-    a, b, c = form
-    D = b * b - 4 * a * c
-    require_discriminant(D)
-    f = form
-    # |c| at least halves per step while |c| > sqrt(D), then O(1) more steps
-    cap = 2 * max(abs(a), abs(b), abs(c), D).bit_length() + 64
-    for _ in range(cap):
-        if is_reduced(f):
-            return f
-        f = rho(f, D)
-    raise RuntimeError("reduction did not settle for %r" % (form,))
+    b2 = s - ((s + b) % (2 * abs(c)))
+    return (c, b2, (b2 * b2 - D) // (4 * c))
 
 
 def apply_sl2(form: Form, mat: tuple[int, int, int, int]) -> Form:
@@ -157,10 +108,9 @@ def reduced_forms_via_roots(D: int, table: SpfTable) -> list[Form]:
     return forms
 
 
-def class_cycles(D: int, forms: list[Form] | None = None) -> list[list[Form]]:
+def class_cycles(D: int) -> list[list[Form]]:
     """Partition the primitive reduced forms into rho-cycles."""
-    if forms is None:
-        forms = reduced_forms(D)
+    forms = reduced_forms(D)
     index = {f: i for i, f in enumerate(forms)}
     seen = [False] * len(forms)
     cycles = []
@@ -182,9 +132,9 @@ def class_cycles(D: int, forms: list[Form] | None = None) -> list[list[Form]]:
     return cycles
 
 
-def class_number_and_reps(D: int, forms: list[Form] | None = None) -> tuple[int, list[Form]]:
+def class_number_and_reps(D: int) -> tuple[int, list[Form]]:
     """Strict class number h and one representative per class (cycle minimum)."""
-    cycles = class_cycles(D, forms)
+    cycles = class_cycles(D)
     reps = sorted(min(c) for c in cycles)
     return len(cycles), reps
 
@@ -196,59 +146,17 @@ def class_number(D: int) -> int:
 _BFS_GENS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))  # S, T, T^-1
 
 
-def _default_box(D: int) -> int:
-    # a T-chain between cycle neighbours can pass through |c| = D/(4|a|),
-    # so D/4 (hit when |a| = 1) is the honest coefficient ceiling
-    return max(math.isqrt(D), D // 4) + 9
-
-
-def forms_equivalent_bfs(f: Form, g: Form, box: int | None = None) -> bool:
-    """Breadth-first search for an SL2(Z) path from f to g.
-
-    Exploration is capped at coefficient size `box` (default D/4 plus
-    margin, enough to hold every intermediate of a cycle walk).  A True
-    answer is always sound.  A False answer relies on the cap; for reduced
-    inputs the cycle theorem makes the default cap sufficient, and a cap
-    that were too small could only split classes further, never merge them.
-    """
-    Df = discriminant(f)
-    if discriminant(g) != Df:
-        return False
-    require_discriminant(Df)
-    if box is None:
-        box = _default_box(Df)
-    if f == g:
-        return True
-    seen = {f}
-    frontier = deque([f])
-    while frontier:
-        cur = frontier.popleft()
-        for mat in _BFS_GENS:
-            nxt = apply_sl2(cur, mat)
-            if nxt == g:
-                return True
-            if nxt in seen:
-                continue
-            na, nb, nc = nxt
-            if abs(na) > box or abs(nb) > box or abs(nc) > box:
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    return False
-
-
-def class_count_bfs(D: int, forms: list[Form] | None = None, box: int | None = None) -> int:
+def class_count_bfs(D: int) -> int:
     """Class count by BFS-partitioning reduced forms.  Oracle-grade, small D.
 
     Knows nothing about rho-cycles: components under the generator moves.
     Cost grows roughly quadratically in isqrt(D); keep D modest (<= ~10^5).
     """
     require_discriminant(D)
-    if forms is None:
-        forms = reduced_forms(D)
-    if box is None:
-        box = _default_box(D)
-    remaining = set(forms)
+    # a T-chain between cycle neighbours can pass through |c| = D/(4|a|),
+    # so D/4 (hit when |a| = 1) is the honest coefficient ceiling
+    box = max(math.isqrt(D), D // 4) + 9
+    remaining = set(reduced_forms(D))
     count = 0
     while remaining:
         start = min(remaining)
@@ -381,18 +289,3 @@ def unit_log(tau: int) -> float:
         return math.acosh(tau / 2)
     # correction term is below 1e-30 here
     return math.log(tau)
-
-
-def class_weight(D: int, t: int | None = None, m: int | None = None) -> tuple[int, float]:
-    """(h, log fundamental unit) for discriminant D.
-
-    Pass a known unit-equation solution (t, m) to skip chakravala.
-    """
-    if t is not None and m is not None:
-        tau, _ = pell_from_known(t, m, D)
-    else:
-        tau, _ = fundamental_unit(D)
-    h = class_number(D)
-    return h, unit_log(tau)
-
-

@@ -188,7 +188,3 @@ def predicted_density(p: int, a: int) -> Fraction:
     """
     _require_prime(p)
     return (trace_mass(p, a) + trace_mass(p, -a)) / 4
-
-
-def predicted_density_table(p: int) -> list[Fraction]:
-    return [predicted_density(p, a) for a in range(p)]

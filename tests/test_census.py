@@ -16,7 +16,7 @@ from tracecensus.census import (
     trace_decompositions,
 )
 from tracecensus.numtheory import build_spf_table
-from tracecensus.quadforms import class_number_and_reps, discriminant
+from tracecensus.quadforms import class_number_and_reps
 from tracecensus import sl2fp
 
 import oracles
@@ -147,8 +147,7 @@ def test_worker_count_does_not_change_bits_with_classes():
 def test_any_task_partition_gives_identical_bits(x, p, resolve, strided, data):
     extra = data.draw(st.sets(st.integers(1, x), max_size=3))
     single = run_census(
-        RunConfig(p=p, norm_bounds=tuple(sorted(extra | {x})), resolve_classes=resolve),
-        table=TABLE,
+        RunConfig(p=p, norm_bounds=tuple(sorted(extra | {x})), resolve_classes=resolve)
     )
     t_max = single.trace_bounds[-1]
     if strided:
@@ -159,7 +158,7 @@ def test_any_task_partition_gives_identical_bits(x, p, resolve, strided, data):
         bounds = sorted(cuts | {3, t_max + 1})
         tasks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     tasks = data.draw(st.permutations(tasks))
-    census._init_worker(p, TABLE, resolve)
+    census._init_worker(single.config, TABLE)
     results = [census._line_weights(ts) for ts in tasks]
     ncls = len(single.class_labels) if resolve else 0
     psi, cls = census._reduce(tasks, results, single.trace_bounds, p, ncls)
@@ -194,7 +193,7 @@ def test_folded_masses():
 def test_required_table_limit_covers_run():
     x = 2500
     table = build_spf_table(required_table_limit(x))
-    res = run_census(RunConfig(p=3, norm_bounds=(x,)), table=table)
+    res = run_census(RunConfig(p=3, norm_bounds=(x,)))
     assert res.table_limit == table.limit
     assert res.psi_total()[0] > 0
 

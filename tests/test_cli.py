@@ -170,34 +170,3 @@ def test_missing_required_argument_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census"])
     assert exc.value.code == 2
-
-
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("TRACECENSUS_THREADS", "none")
-    code, _, err = run(capsys, "psi", "--x", "100", "--checkpoints", "1")
-    assert code == 2
-    assert "TRACECENSUS_THREADS" in err
-
-
-def test_threads_env_overrides_flag(capsys, tmp_path, monkeypatch):
-    base = tmp_path / "base.csv"
-    code, _, _ = run(
-        capsys, "census", "--x", "700", "--p", "3", "--checkpoints", "2",
-        "--out", str(base),
-    )
-    assert code == 0
-    monkeypatch.setenv("TRACECENSUS_THREADS", "2")
-    over = tmp_path / "env.csv"
-    code, _, _ = run(
-        capsys, "census", "--x", "700", "--p", "3", "--checkpoints", "2",
-        "--threads", "1", "--out", str(over),
-    )
-    assert code == 0
-    assert base.read_bytes() == over.read_bytes()
-    doc_path = tmp_path / "env.json"
-    code, _, _ = run(
-        capsys, "census", "--x", "200", "--p", "3", "--format", "json",
-        "--checkpoints", "1", "--out", str(doc_path),
-    )
-    assert code == 0
-    assert json.loads(doc_path.read_text())["config"]["workers"] == 2

@@ -78,15 +78,12 @@ def test_factorize_roundtrip(table):
 
 
 def test_factorize_cofactor_path(table):
-    # above the table, single large prime cofactor
-    n = 2**3 * 104729  # 104729 = prime > 10^4
-    assert factorize(n, table) == [(2, 3), (104729, 1)]
-    # prime by size argument: cofactor <= limit^2
-    big = 99991  # prime, fits under 10^8
-    assert factorize(4 * big, table) == [(2, 2), (99991, 1)]
-    # two large primes multiply past limit^2: unsupported
+    # there is no cofactor path: the table limit factors, one past it is refused
+    assert factorize(table.limit, table) == [(2, 4), (5, 4)]
+    with pytest.raises(ValueError, match="limit 10000"):
+        factorize(table.limit + 1, table)
     with pytest.raises(ValueError):
-        factorize(1_000_003 * 1_000_033 * 104729**2, table)
+        factorize(2**3 * 104729, table)
 
 
 def test_divisors(table):

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +11,8 @@ from tracecensus.quadforms import (
     class_cycles,
     class_number,
     class_number_and_reps,
-    discriminant,
-    forms_equivalent_bfs,
     fundamental_unit,
-    is_reduced,
     pell_from_known,
-    principal_form,
-    reduce_form,
     reduced_forms,
     reduced_forms_via_roots,
     rho,
@@ -26,7 +20,7 @@ from tracecensus.quadforms import (
     valid_discriminant,
 )
 
-from oracles import brute_reduced_forms, pell_oracle
+from oracles import _reduced, brute_reduced_forms, pell_oracle
 
 
 def small_discs(lo=5, hi=400):
@@ -72,14 +66,14 @@ def test_forms_match_root_route(table):
 
 def test_all_enumerated_forms_are_reduced_primitive():
     for D in small_discs(5, 200):
-        for f in reduced_forms(D):
-            assert is_reduced(f), (D, f)
-            assert discriminant(f) == D
-            assert math.gcd(f[0], f[1], f[2]) == 1
+        for a, b, c in reduced_forms(D):
+            assert _reduced((a, b, c), D), (D, a, b, c)
+            assert b * b - 4 * a * c == D
+            assert math.gcd(a, b, c) == 1
 
 
 def test_rho_permutes_reduced_forms():
-    for D in small_discs(5, 200):
+    for D in small_discs(5, 200) + small_discs(99_990, 100_010):
         forms = set(reduced_forms(D))
         image = {rho(f, D) for f in forms}
         assert image == forms, D
@@ -101,32 +95,6 @@ def test_class_count_agrees_with_bfs_partition():
         assert class_number(D) == class_count_bfs(D), D
 
 
-def test_principal_form():
-    for D in small_discs(5, 200):
-        f = principal_form(D)
-        assert f[0] == 1 and is_reduced(f) and discriminant(f) == D
-
-
-def test_reduce_form_reaches_equivalent_reduced():
-    rng = random.Random(7)
-    for _ in range(150):
-        D = rng.choice(small_discs(5, 120))
-        f = principal_form(D)
-        # scramble by a random word in the generators
-        for _ in range(rng.randrange(1, 8)):
-            mat = rng.choice([(0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1)])
-            f = apply_sl2(f, mat)
-        g = reduce_form(f)
-        assert is_reduced(g) and discriminant(g) == D
-        assert forms_equivalent_bfs(g, principal_form(D))
-
-
-def test_bfs_separates_pinned_classes():
-    # D = 12: (1,2,-2) and (2,2,-1) sit in different strict classes
-    assert not forms_equivalent_bfs((1, 2, -2), (2, 2, -1))
-    assert forms_equivalent_bfs((1, 2, -2), (-2, 2, 1))
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=5, max_value=2000), st.data())
 def test_apply_sl2_preserves_discriminant_and_reduction_closes(D, data):
@@ -140,8 +108,8 @@ def test_apply_sl2_preserves_discriminant_and_reduction_closes(D, data):
     g = f
     for mat in word:
         g = apply_sl2(g, mat)
-    assert discriminant(g) == D
-    assert reduce_form(g) in forms
+    a, b, c = g
+    assert b * b - 4 * a * c == D
 
 
 def test_pell_pinned():

@@ -9,7 +9,6 @@ from tracecensus.sl2fp import (
     classify,
     group_order,
     predicted_density,
-    predicted_density_table,
     trace_mass,
 )
 
@@ -82,7 +81,7 @@ def test_predicted_density_closed_form():
 
 def test_densities_sum_to_one():
     for p in SMALL_PRIMES:
-        assert sum(predicted_density_table(p)) == 1, p
+        assert sum(predicted_density(p, a) for a in range(p)) == 1, p
 
 
 def test_class_mass_sums_to_one():
