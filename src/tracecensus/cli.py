@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -21,14 +20,12 @@ import numpy as np
 from . import __version__
 from .analysis import class_report, density_rows, error_exponent_fit
 from .census import RunConfig, run_census, trace_bound, unit_power_oracle
-from .numtheory import build_spf_table
 from .quadforms import (
     class_count_bfs,
-    class_number,
+    class_cycles,
     fundamental_unit,
     pell_from_known,
     reduced_forms,
-    reduced_forms_via_roots,
     valid_discriminant,
 )
 from .sl2fp import (
@@ -328,10 +325,10 @@ def _cmd_verify(args) -> int:
         ok = ok and sum(predicted_density(p, a) for a in range(p)) == 1
     report(ok, "conjugacy-tables", ", ".join(detail))
 
-    # form enumeration dual routes over the discriminants in census range
+    # the cycles walked from root-lifted starts against the b-window scan,
+    # over the discriminants in census range
     tmax = trace_bound(args.x)
     dmax = max(tmax * tmax - 4, 5)
-    table = build_spf_table(max(4 * math.isqrt(dmax) + 16, 4 * tmax + 16, 64))
     checked = bfs_checked = 0
     ok = True
     first_bad = None
@@ -339,12 +336,13 @@ def _cmd_verify(args) -> int:
         if not valid_discriminant(d):
             continue
         checked += 1
-        if reduced_forms(d) != sorted(reduced_forms_via_roots(d, table)):
+        cycles = class_cycles(d)
+        if sorted(f for cyc in cycles for f in cyc) != reduced_forms(d):
             ok = False
             first_bad = first_bad or d
         if d <= args.bfs_cap:
             bfs_checked += 1
-            if class_number(d) != class_count_bfs(d):
+            if len(cycles) != class_count_bfs(d):
                 ok = False
                 first_bad = first_bad or d
     report(

@@ -23,7 +23,6 @@ __all__ = [
     "is_probable_prime",
     "sqrt_mod_prime",
     "sqrt_mod_prime_power",
-    "sqrt_mod",
 ]
 
 
@@ -96,8 +95,7 @@ def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
 
     A pure table walk, so 1 <= n <= table.limit is required and larger n
     raise ValueError.  Callers size the table for what they factor: the
-    census sieve reaches 4T + 16 past every t +- 2, and
-    reduced_forms_via_roots checks that it covers every 4a it solves for.
+    census sieve reaches 4T + 16 past every t +- 2.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1, got %r" % (n,))
@@ -288,35 +286,3 @@ def _sqrt_mod_unit(u: int, p: int, m: int) -> list[int]:
     r %= pm
     half = 1 << (m - 1)
     return sorted({r, pm - r, (r + half) % pm, (pm - r + half) % pm})
-
-
-def sqrt_mod(a: int, modulus: int, table: SpfTable) -> list[int]:
-    """All square roots of a modulo an arbitrary modulus >= 1, sorted.
-
-    Factorizes the modulus with the table, solves each prime power, and
-    glues with CRT.
-    """
-    if modulus == 1:
-        return [0]
-    factors = factorize(modulus, table)
-    roots = [0]
-    mod_so_far = 1
-    for p, k in factors:
-        pk = p ** k
-        local = sqrt_mod_prime_power(a, p, k)
-        if not local:
-            return []
-        if mod_so_far == 1:
-            roots = list(local)
-            mod_so_far = pk
-            continue
-        inv = pow(mod_so_far % pk, -1, pk)
-        new_roots = []
-        for r in roots:
-            for s in local:
-                t = (s - r) % pk * inv % pk
-                new_roots.append(r + mod_so_far * t)
-        roots = new_roots
-        mod_so_far *= pk
-    roots.sort()
-    return roots

@@ -5,10 +5,11 @@ D = b^2 - 4ac > 0 and nonsquare.  Class counts here are strict (narrow)
 ones: proper equivalence under SL2(Z), which is what matches counting
 conjugacy classes of matrices and norm-one units of the order O_D.
 
-Two independent enumeration routes are kept on purpose.  reduced_forms
-walks a plain b-window scan; reduced_forms_via_roots solves
-b^2 = D mod 4a by factoring and lifting.  The verify machinery compares
-them, so neither can silently drift.
+class_cycles walks rho from the reduced forms with 4a^2 < D, whose b are
+square roots of D mod 4a lifted from prime powers: O(sqrt(D)) values of a
+in place of the O(D) b-window scan of reduced_forms, which stays as its
+oracle.  verify and the tests check that the walked cycles cover exactly
+the scanned forms, so neither can silently drift.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .numtheory import SpfTable, is_square, sqrt_mod
+from .numtheory import is_square, sqrt_mod_prime_power
 
 Form = tuple[int, int, int]
 
@@ -35,8 +36,8 @@ def rho(form: Form, D: int) -> Form:
 
     b' is the representative of -b mod 2|c| in the window (s - 2|c|, s],
     s = isqrt(D).  A reduced form has |c| < sqrt(D), so that window is the
-    one the cycle needs; class_cycles checks that every step lands back in
-    the reduced set.
+    one the cycle needs; class_cycles checks at every step that the walk
+    stays reduced.
     """
     _, b, c = form
     s = math.isqrt(D)
@@ -57,7 +58,7 @@ def apply_sl2(form: Form, mat: tuple[int, int, int, int]) -> Form:
 
 
 def reduced_forms(D: int) -> list[Form]:
-    """All primitive reduced forms of discriminant D, sorted.  Scan route.
+    """All primitive reduced forms of discriminant D, sorted.  O(D) scan, the oracle.
 
     For every leading coefficient a >= 1, scans the b-window that a
     reduced form needs (|sqrt(D) - 2a| < b <= isqrt(D), b = D mod 2) and
@@ -81,62 +82,88 @@ def reduced_forms(D: int) -> list[Form]:
     return forms
 
 
-def reduced_forms_via_roots(D: int, table: SpfTable) -> list[Form]:
-    """Same set as reduced_forms, by solving b^2 = D (mod 4a) per a.
+def _spf_list(n: int) -> list[int]:
+    """Smallest prime factor of every k <= n, as a plain list (spf[k] = k for k < 2).
 
-    Independent of the b-window scan: uses factorization, Tonelli-Shanks,
-    Hensel lifting and CRT from numtheory.  The spf table must cover 4a
-    for every a <= isqrt(D), i.e. table.limit >= 4 * isqrt(D).
+    Writing every i <= isqrt(n) from i*i upward, largest i first, leaves
+    each composite with its smallest divisor, which is prime.
     """
-    require_discriminant(D)
-    s = math.isqrt(D)
-    if table.limit < 4 * s:
-        raise ValueError("spf table limit %d < 4*isqrt(D) = %d" % (table.limit, 4 * s))
-    forms: list[Form] = []
-    for a in range(1, s + 1):
-        foura = 4 * a
-        lo = max(s - 2 * a + 1, 2 * a - s, 1)
-        for r in sqrt_mod(D, foura, table):
-            b = lo + ((r - lo) % foura)
-            if b > s:
-                continue
-            c = (b * b - D) // foura
-            if math.gcd(a, b, c) == 1:
-                forms.append((a, b, c))
-                forms.append((-a, b, -c))
-    forms.sort()
-    return forms
+    spf = list(range(n + 1))
+    for i in range(math.isqrt(n), 1, -1):
+        spf[i * i :: i] = [i] * ((n - i * i) // i + 1)
+    return spf
 
 
 def class_cycles(D: int) -> list[list[Form]]:
-    """Partition the primitive reduced forms into rho-cycles."""
-    forms = reduced_forms(D)
-    index = {f: i for i, f in enumerate(forms)}
-    seen = [False] * len(forms)
-    cycles = []
-    for start_i, start in enumerate(forms):
-        if seen[start_i]:
-            continue
-        cycle = []
-        f = start
-        while True:
-            i = index.get(f)
-            if i is None:
-                raise RuntimeError("rho left the reduced set at %r (D=%d)" % (f, D))
-            if seen[i]:
-                break
-            seen[i] = True
-            cycle.append(f)
-            f = rho(f, D)
-        cycles.append(cycle)
+    """Partition the primitive reduced forms of discriminant D into rho-cycles.
+
+    Consecutive forms (a, b, c), (c, b', c') of a cycle have
+    |a c| = (D - b^2) / 4 < D / 4, so every cycle holds a form with
+    4a^2 < D.  The walks start from those forms only: for each a <= s/2
+    (s = isqrt(D)) the b with b^2 = D (mod 4a) come from roots modulo the
+    prime powers of 4a, each solved once per call and glued by CRT.  Every
+    rho step is checked to stay reduced.  Each cycle is listed from its
+    smallest form, and the cycles in ascending order of it; their union is
+    reduced_forms(D), which the tests and verify check.
+    """
+    require_discriminant(D)
+    s = math.isqrt(D)
+    half = s // 2  # 4a^2 < D  <=>  2a <= s, as D is not a square
+    spf = _spf_list(half)
+    # roots of D modulo a prime power, keyed by that modulus; the entry for
+    # 2^(v+2) holds its roots reduced mod 2^(v+1), which is all b mod 2a sees
+    local: dict[int, list[int]] = {}
+    seen: set[Form] = set()
+    cycles: list[list[Form]] = []
+    for a in range(1, half + 1):
+        v = (a & -a).bit_length() - 1  # 2^v exactly divides a
+        mod = 2 << v
+        roots = local.get(2 * mod)
+        if roots is None:
+            roots = sorted({r % mod for r in sqrt_mod_prime_power(D, 2, v + 2)})
+            local[2 * mod] = roots
+        n = a >> v
+        while n > 1 and roots:
+            q = spf[n]
+            k = 0
+            while n % q == 0:
+                n //= q
+                k += 1
+            pk = q**k
+            lr = local.get(pk)
+            if lr is None:
+                lr = local[pk] = sqrt_mod_prime_power(D, q, k)
+            inv = pow(mod, -1, pk)
+            roots = [r + mod * ((l - r) * inv % pk) for r in roots for l in lr]
+            mod *= pk
+        # mod == 2a when roots survive; the window (s - 2a, s] holds one b per root
+        lo = s - 2 * a + 1
+        for r in roots:
+            b = lo + (r - lo) % mod
+            c = (b * b - D) // (4 * a)
+            if math.gcd(a, b, c) != 1:
+                continue
+            for f in ((a, b, c), (-a, b, -c)):
+                if f in seen:
+                    continue
+                cycle = []
+                while f not in seen:
+                    fa = abs(f[0])
+                    if not max(s - 2 * fa + 1, 2 * fa - s, 1) <= f[1] <= s:
+                        raise RuntimeError("rho left the reduced set at %r (D=%d)" % (f, D))
+                    seen.add(f)
+                    cycle.append(f)
+                    f = rho(f, D)
+                i = cycle.index(min(cycle))
+                cycles.append(cycle[i:] + cycle[:i])
+    cycles.sort()
     return cycles
 
 
 def class_number_and_reps(D: int) -> tuple[int, list[Form]]:
     """Strict class number h and one representative per class (cycle minimum)."""
     cycles = class_cycles(D)
-    reps = sorted(min(c) for c in cycles)
-    return len(cycles), reps
+    return len(cycles), [c[0] for c in cycles]
 
 
 def class_number(D: int) -> int:
@@ -197,11 +224,18 @@ def _int_root(n: int, k: int) -> int:
 
 
 def _trace_power(tau: int, k: int) -> int:
-    """Trace of the k-th power of the norm-one unit with trace tau, k >= 1."""
-    t_prev, t_cur = 2, tau
-    for _ in range(k - 1):
-        t_prev, t_cur = t_cur, tau * t_cur - t_prev
-    return t_cur
+    """Trace V_k of the k-th power of the norm-one unit with trace tau, k >= 1.
+
+    Lucas doubling ladder over the bits of k, holding (V_n, V_n+1):
+    V_2n = V_n^2 - 2 and V_2n+1 = V_n V_n+1 - tau.
+    """
+    v, w = 2, tau
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w = v * w - tau, w * w - 2
+        else:
+            v, w = v * v - 2, v * w - tau
+    return v
 
 
 def _pell1(N: int) -> tuple[int, int]:
@@ -266,9 +300,11 @@ def pell_from_known(t: int, m: int, D: int) -> tuple[int, int]:
     """
     if t < 3 or m < 1 or t * t - m * m * D != 4:
         raise ValueError("(%d, %d) does not solve the unit equation for D=%d" % (t, m, D))
-    kmax = 1
-    while _trace_power(3, kmax + 1) <= t:
-        kmax += 1
+    # V_k(3) = phi^2k + phi^-2k and log2(phi^2) = 1.3884838...: the estimate
+    # is at most one above the largest k with V_k(3) <= t
+    kmax = t.bit_length() * 1_000_000 // 1_388_483
+    while _trace_power(3, kmax) > t:
+        kmax -= 1
     for k in range(kmax, 1, -1):
         r = _int_root(t, k)
         for tau in (r - 1, r, r + 1, r + 2):

@@ -2,11 +2,44 @@
 
 Nothing here shares algorithmic structure with the production code paths:
 forms come from trial division, units from continued fraction convergents,
-census weights from a discriminant scan.  Keep these dumb.
+census weights from a discriminant scan.  The one exception is
+scan_class_cycles, which partitions the package's b-window scan (the oracle
+for class_cycles' root-lifted starts) with rho.  Keep these dumb.
 """
 
 import math
 from fractions import Fraction
+
+from tracecensus.quadforms import reduced_forms, rho
+
+
+def scan_class_cycles(D):
+    """rho-cycles of every form the O(D) scan lists, each from its minimum.
+
+    Walks from the scanned forms in ascending order, so each cycle starts at
+    its smallest form and the cycles come in ascending order of it.  Any
+    step that leaves the scanned set raises.
+    """
+    forms = reduced_forms(D)
+    index = {f: i for i, f in enumerate(forms)}
+    seen = [False] * len(forms)
+    cycles = []
+    for start_i, start in enumerate(forms):
+        if seen[start_i]:
+            continue
+        cycle = []
+        f = start
+        while True:
+            i = index.get(f)
+            if i is None:
+                raise AssertionError("rho left the reduced set at %r (D=%d)" % (f, D))
+            if seen[i]:
+                break
+            seen[i] = True
+            cycle.append(f)
+            f = rho(f, D)
+        cycles.append(cycle)
+    return cycles
 
 
 def brute_reduced_forms(D):

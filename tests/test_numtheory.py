@@ -13,7 +13,6 @@ from tracecensus.numtheory import (
     is_probable_prime,
     is_square,
     kronecker,
-    sqrt_mod,
     sqrt_mod_prime,
     sqrt_mod_prime_power,
 )
@@ -185,25 +184,3 @@ def test_sqrt_mod_prime_power_exhaustive():
             for a in range(pk):
                 got = sqrt_mod_prime_power(a, p, k)
                 assert got == brute_roots(a, pk), (a, p, k)
-
-
-def test_sqrt_mod_composite(table):
-    rng = random.Random(5)
-    moduli = [1, 2, 4, 12, 36, 48, 60, 100, 180, 360, 720]
-    moduli += [rng.randrange(2, 2000) for _ in range(40)]
-    for m in moduli:
-        for _ in range(12):
-            a = rng.randrange(0, m) if m > 1 else 0
-            assert sqrt_mod(a, m, table) == brute_roots(a, m), (a, m)
-
-
-@settings(max_examples=150)
-@given(
-    a=st.integers(min_value=0, max_value=10_000),
-    m=st.integers(min_value=1, max_value=500),
-)
-def test_sqrt_mod_roots_square_back(a, m):
-    table = build_spf_table(600)
-    for r in sqrt_mod(a, m, table):
-        assert 0 <= r < m
-        assert (r * r - a) % m == 0

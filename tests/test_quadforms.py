@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tracecensus.numtheory import build_spf_table
 from tracecensus.quadforms import (
+    _trace_power,
     apply_sl2,
     class_count_bfs,
     class_cycles,
@@ -14,22 +14,16 @@ from tracecensus.quadforms import (
     fundamental_unit,
     pell_from_known,
     reduced_forms,
-    reduced_forms_via_roots,
     rho,
     unit_log,
     valid_discriminant,
 )
 
-from oracles import _reduced, brute_reduced_forms, pell_oracle
+from oracles import _reduced, brute_reduced_forms, pell_oracle, scan_class_cycles
 
 
 def small_discs(lo=5, hi=400):
     return [D for D in range(lo, hi) if D % 4 in (0, 1) and math.isqrt(D) ** 2 != D]
-
-
-@pytest.fixture(scope="module")
-def table():
-    return build_spf_table(5000)
 
 
 def test_valid_discriminant():
@@ -59,9 +53,52 @@ def test_forms_match_brute_oracle():
         assert reduced_forms(D) == brute_reduced_forms(D), D
 
 
-def test_forms_match_root_route(table):
-    for D in small_discs(5, 300) + [997 * 4 + 1, 3989, 4001]:
-        assert reduced_forms(D) == reduced_forms_via_roots(D, table), D
+def _walked_forms(D):
+    return sorted(f for cyc in class_cycles(D) for f in cyc)
+
+
+def test_forms_match_root_route():
+    # the cycles walked from root-lifted starts cover exactly the scanned forms
+    near_1e5 = small_discs(99_800, 100_300)[:200]
+    assert len(near_1e5) == 200
+    for D in small_discs(5, 300) + [997 * 4 + 1, 3989, 4001] + near_1e5:
+        assert _walked_forms(D) == reduced_forms(D), D
+
+
+def _lifting_shapes():
+    """Discriminants up to 3e5, forcing the shapes root lifting must handle."""
+    bound = 3 * 10**5
+    odd_primes = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101])
+    return st.one_of(
+        st.integers(min_value=5, max_value=bound),
+        st.integers(min_value=1, max_value=bound // 16).map(lambda n: 16 * n),
+        st.tuples(odd_primes, st.integers(min_value=1, max_value=bound)).map(
+            lambda qn: qn[0] ** 2 * (qn[1] // qn[0] ** 2 or 1)
+        ),
+        st.integers(min_value=1, max_value=math.isqrt(bound // 5)).map(lambda f: 5 * f * f),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lifting_shapes())
+def test_root_route_covers_scan(D):
+    assume(valid_discriminant(D))
+    assert _walked_forms(D) == reduced_forms(D)
+
+
+def test_class_data_matches_scan_partition():
+    for D in small_discs(5, 8000):
+        cycles = scan_class_cycles(D)
+        assert class_cycles(D) == cycles, D
+        assert class_number_and_reps(D) == (len(cycles), sorted(min(c) for c in cycles)), D
+
+
+def test_every_cycle_meets_the_half_range():
+    # consecutive forms have |a a'| = (D - b^2) / 4 < D / 4, so one of them
+    # has 4a^2 < D; class_cycles starts its walks only from such forms
+    for D in small_discs(5, 6000):
+        for cyc in scan_class_cycles(D):
+            assert any(4 * a * a < D for a, _, _ in cyc), (D, cyc)
 
 
 def test_all_enumerated_forms_are_reduced_primitive():
@@ -166,6 +203,34 @@ def test_pell_from_known():
         assert pell_from_known(t3, m3, D) == (tau, s), D
     with pytest.raises(ValueError):
         pell_from_known(3, 1, 8)
+
+
+def _lucas_v(tau, k):
+    t_prev, t_cur = 2, tau
+    for _ in range(k - 1):
+        t_prev, t_cur = t_cur, tau * t_cur - t_prev
+    return t_cur
+
+
+def test_trace_power_ladder_matches_recurrence():
+    for tau in range(3, 51):
+        for k in range(1, 61):
+            assert _trace_power(tau, k) == _lucas_v(tau, k), (tau, k)
+
+
+def test_pell_from_known_higher_powers():
+    # the k-th power of (tau + s sqrt(D)) / 2 is (V_k + s U_k sqrt(D)) / 2
+    for D in small_discs(5, 500):
+        tau, s = fundamental_unit(D)
+        u_prev, u = 0, 1
+        for k in range(2, 13):
+            u_prev, u = u, tau * u - u_prev
+            assert pell_from_known(_lucas_v(tau, k), s * u, D) == (tau, s), (D, k)
+    # t = V_k(3) exactly is the largest power index the search considers
+    u_prev, u = 0, 1
+    for k in range(2, 200):
+        u_prev, u = u, 3 * u - u_prev
+        assert pell_from_known(_lucas_v(3, k), u, 5) == (3, 1), k
 
 
 def test_pell_from_known_mixed_orders():
