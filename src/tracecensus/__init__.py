@@ -15,7 +15,6 @@ from .analysis import (
     density_error_series,
     density_report,
     error_exponent_fit,
-    psi_error_series,
 )
 from .census import (
     CensusResult,
@@ -80,7 +79,6 @@ __all__ = [
     "matrix_from_form",
     "pell_from_known",
     "predicted_density",
-    "psi_error_series",
     "reduced_forms",
     "required_table_limit",
     "run_census",

@@ -121,23 +121,14 @@ def error_exponent_fit(points, min_x: float = 100.0) -> ExponentFit:
 
 
 def density_error_series(result: CensusResult):
-    """(x, max-over-a |psi_pm - predicted*x|) per checkpoint, fit-ready."""
-    p = result.config.p
-    preds = [float(predicted_density(p, a)) for a in range(p)]
-    fold = result.folded()
-    out = []
-    for i, x in enumerate(result.config.norm_bounds):
-        err = max(abs(fold[i, a] - preds[a] * x) for a in range(p))
-        out.append((x, err))
-    return out
+    """(x, max-over-a |psi_pm - predicted*x|) per checkpoint, fit-ready.
 
-
-def psi_error_series(result: CensusResult):
-    """(x, |psi - x|) per checkpoint, fit-ready."""
-    totals = result.psi_total()
+    Computed as x * max(abs_err) over the density rows, the same formula
+    a stored report's rows give back, so fitting either is identical.
+    """
     return [
-        (x, abs(float(totals[i]) - x))
-        for i, x in enumerate(result.config.norm_bounds)
+        (x, x * max(r.abs_err for r in rows))
+        for x, rows in zip(result.config.norm_bounds, density_rows(result))
     ]
 
 

@@ -7,15 +7,16 @@ primitive reduced cycles of discriminant D and eps_D is the fundamental
 totally positive unit.  The per-residue totals divided by x are the
 quantities whose limits the closed-form conjugacy masses predict.
 
-Each line's weight is computed from t alone, so the walk can be split
-into tasks in any way.  The line weights are stored in a vector indexed by
-t and every residue mass is one math.fsum (Shewchuk's correctly rounded
-summation) over its lines, so serial and parallel runs, and any split of
-the trace range, give bit-identical results.
+Each line's weight is a pure function of t, and run_census maps it over
+the trace range, serially or in a process pool.  The line weights are
+stored in a vector indexed by t and every residue mass is one math.fsum
+(Shewchuk's correctly rounded summation) over its lines, so results are
+bit-identical whatever the worker count or the chunking of the map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -141,91 +142,47 @@ class CensusResult:
         return 0.5 * (self.psi + self.psi[:, idx])
 
 
-_W: dict = {}
+def _line_weight(config: RunConfig, table: SpfTable, label_index: dict,
+                 t: int) -> tuple[float, list[float]]:
+    """Weight of trace line t, and its split over the classes in label_index.
 
-
-def _init_worker(config: RunConfig, table: SpfTable) -> None:
-    _W["config"] = config
-    _W["table"] = table
-    classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
-    _W["label_index"] = {c.label: i for i, c in enumerate(classes)}
-
-
-def _line_weights(ts: range) -> tuple[list[float], list[list[float]]]:
-    """Weight of every trace line t in ts, and its split over classes.
-
-    Each line's weight (and split) is a function of t alone: its terms are
-    added in ascending (m, form) order, and the per-discriminant caches
-    only hold values that do not depend on which line filled them.
+    Terms are added in ascending (m, form) order.  Any failure is raised
+    again naming the line, so a run never reports without it.
     """
-    config: RunConfig = _W["config"]
-    table: SpfTable = _W["table"]
-    label_index: dict = _W["label_index"]
-    p = config.p
-    resolve = config.resolve_classes
-    analytic = config.backend == "analytic"
-    ncls = len(label_index)
-    if analytic:
-        from .lfunctions import l_value
-
-    weights = []
-    splits = []
-    cache: dict[int, tuple[int, float, tuple[Form, ...]]] = {}
-    lw_cache: dict[int, float] = {}
-
-    for t in ts:
+    try:
         w_line = 0.0
-        split = [0.0] * ncls
+        split = [0.0] * len(label_index)
         for m, d in trace_decompositions(t, table):
-            if analytic and d > config.delta_switch:
-                w = lw_cache.get(d)
-                if w is None:
-                    w = 2.0 * math.sqrt(d) * l_value(d, table)
-                    lw_cache[d] = w
-                w_line += w
+            if config.backend == "analytic" and d > config.delta_switch:
+                from .lfunctions import l_value
+
+                w_line += 2.0 * math.sqrt(d) * l_value(d, table)
                 continue
-            data = cache.get(d)
-            if data is None:
-                h, reps = class_number_and_reps(d)
-                tau0, _ = pell_from_known(t, m, d)
-                data = (h, unit_log(tau0), tuple(reps) if resolve else ())
-                cache[d] = data
-            h, logeps, reps = data
+            h, reps = class_number_and_reps(d)
+            tau0, _ = pell_from_known(t, m, d)
+            logeps = unit_log(tau0)
             w_line += h * 2.0 * logeps
-            for form in reps:
+            for form in (reps if label_index else ()):
                 mat = matrix_from_form(t, m, form)
-                label = sl2fp.classify(tuple(v % p for v in mat), p)
+                label = sl2fp.classify(tuple(v % config.p for v in mat), config.p)
                 split[label_index[label]] += 2.0 * logeps
-        weights.append(w_line)
-        splits.append(split)
-    return weights, splits
+        return w_line, split
+    except Exception as exc:
+        raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
 
 
-def _task_ranges(t_max: int, workers: int) -> list[range]:
-    """Trace lines per pool task: one task serially, else 8 per worker.
-
-    The tasks are strided rather than contiguous because the cost of a
-    line grows like t^3; striding gives every task a similar share.
-    """
-    if workers == 1:
-        return [range(3, t_max + 1)]
-    n = 8 * workers
-    return [range(3 + i, t_max + 1, n) for i in range(min(n, t_max - 2))]
-
-
-def _reduce(tasks: Sequence[range], results, tbounds: Sequence[int], p: int,
+def _reduce(rows: Sequence[tuple[float, list[float]]], tbounds: Sequence[int], p: int,
             ncls: int) -> tuple[np.ndarray, np.ndarray]:
-    """Checkpointed residue and class masses from per-line task results.
+    """Checkpointed residue and class masses from the line rows of t = 3, 4, ...
 
     Line weights land in vectors indexed by t, and every mass is one
-    correctly rounded math.fsum over its lines, so the result does not
-    depend on how the lines were split into tasks.
+    correctly rounded math.fsum over its lines.
     """
     w = np.zeros(tbounds[-1] + 1)
     cw = np.zeros((tbounds[-1] + 1, ncls))
-    for ts, (weights, splits) in zip(tasks, results):
-        w[ts] = weights
-        cw[ts] = np.reshape(splits, (len(ts), ncls))
+    for t, (weight, split) in enumerate(rows, 3):
+        w[t] = weight
+        cw[t] = split
     psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])
     cls = np.array([[math.fsum(cw[: tb + 1, k]) for k in range(ncls)] for tb in tbounds])
     return psi, cls
@@ -304,26 +261,19 @@ def run_census(config: RunConfig) -> CensusResult:
     """Run the census at every checkpoint in config.norm_bounds."""
     table = build_spf_table(required_table_limit(config.norm_bounds[-1], config.backend))
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
-    tasks = _task_ranges(tbounds[-1], config.workers)
-
-    p = config.p
-    if config.resolve_classes:
-        labels = tuple(c.label for c in sl2fp.class_list(p))
+    classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
+    label_index = {c.label: i for i, c in enumerate(classes)}
+    weigh = functools.partial(_line_weight, config, table, label_index)
+    lines = range(3, tbounds[-1] + 1)
+    if config.workers > 1 and len(lines) > 1:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(lines))) as ex:
+            chunk = max(1, len(lines) // (8 * config.workers))
+            rows = list(ex.map(weigh, lines, chunksize=chunk))
     else:
-        labels = None
+        rows = list(map(weigh, lines))
 
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(config.workers, len(tasks)),
-            initializer=_init_worker,
-            initargs=(config, table),
-        ) as ex:
-            results = list(ex.map(_line_weights, tasks))
-    else:
-        _init_worker(config, table)
-        results = [_line_weights(ts) for ts in tasks]
-
-    psi, cls = _reduce(tasks, results, tbounds, p, len(labels) if labels else 0)
+    psi, cls = _reduce(rows, tbounds, config.p, len(classes))
+    labels = tuple(c.label for c in classes) if classes else None
     return CensusResult(
         config=config,
         trace_bounds=tbounds,

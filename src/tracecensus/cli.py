@@ -4,7 +4,9 @@ Subcommands: census (residue-mass series), classes (conjugacy tables),
 verify (internal consistency gauntlet), by-class (class-resolved census),
 fit (error exponent from a stored series), psi (totals only).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or argument error.
+Exit codes: 0 success, 1 verification failure or a failing trace line
+(named in one error line, with no report written), 2 usage or argument
+error.
 """
 
 from __future__ import annotations
@@ -475,6 +477,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

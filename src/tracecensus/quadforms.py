@@ -291,32 +291,26 @@ def pell_from_known(t: int, m: int, D: int) -> tuple[int, int]:
     """Fundamental (tau, s) of tau^2 - D s^2 = 4 given any solution (t, m).
 
     The given unit is a power of the fundamental one, so t is a Chebyshev
-    image of the fundamental trace.  Scanning the power index k downward
-    from the largest conceivable value, the first exact integer root that
-    also solves the unit equation for this D is the fundamental solution;
-    a unit of a smaller order never sneaks in because its trace square
-    minus four fails the divisibility test.  No factorization of m is
+    image V_k of the fundamental trace.  Ascending k from 2 while the
+    smallest k-th power trace V_k(3) is at most t, every exact k-th root
+    tau with tau^2 - 4 = D s^2 replaces t and is tried at the same k
+    again.  A composite k never hits first, because a k-th power is also
+    a q-th power for every prime q dividing k.  No factorization of m is
     involved, so this stays cheap even when m has hundreds of digits.
     """
     if t < 3 or m < 1 or t * t - m * m * D != 4:
         raise ValueError("(%d, %d) does not solve the unit equation for D=%d" % (t, m, D))
-    # V_k(3) = phi^2k + phi^-2k and log2(phi^2) = 1.3884838...: the estimate
-    # is at most one above the largest k with V_k(3) <= t
-    kmax = t.bit_length() * 1_000_000 // 1_388_483
-    while _trace_power(3, kmax) > t:
-        kmax -= 1
-    for k in range(kmax, 1, -1):
+    k, v_prev, v = 2, 3, 7
+    while v <= t:
         r = _int_root(t, k)
         for tau in (r - 1, r, r + 1, r + 2):
-            if tau < 3 or _trace_power(tau, k) != t:
-                continue
             num = tau * tau - 4
-            if num % D == 0:
-                s2 = num // D
-                s = math.isqrt(s2)
-                if s * s == s2:
-                    return tau, s
-    return t, m
+            if tau >= 3 and _trace_power(tau, k) == t and num % D == 0 and is_square(num // D):
+                t = tau
+                break
+        else:
+            k, v_prev, v = k + 1, v, 3 * v - v_prev
+    return t, math.isqrt((t * t - 4) // D)
 
 
 def unit_log(tau: int) -> float:

@@ -9,7 +9,6 @@ from tracecensus.analysis import (
     density_error_series,
     density_report,
     error_exponent_fit,
-    psi_error_series,
 )
 from tracecensus.census import RunConfig, run_census
 from tracecensus.sl2fp import predicted_density
@@ -112,11 +111,6 @@ def test_error_series_shapes():
             abs(float(fold[i, a]) - float(predicted_density(3, a)) * x) for a in range(3)
         )
         assert err == pytest.approx(want)
-    ppts = psi_error_series(RES3)
-    assert [x for x, _ in ppts] == [100, 500, 2000]
-    totals = RES3.psi_total()
-    for i, (x, err) in enumerate(ppts):
-        assert err == pytest.approx(abs(float(totals[i]) - x))
 
 
 def test_class_report_requires_resolved_run():

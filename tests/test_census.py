@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -141,30 +142,23 @@ def test_worker_count_does_not_change_bits_with_classes():
     x=st.integers(1, 3000),
     p=st.sampled_from([2, 3, 5, 7]),
     resolve=st.booleans(),
-    strided=st.booleans(),
     data=st.data(),
 )
-def test_any_task_partition_gives_identical_bits(x, p, resolve, strided, data):
+def test_lines_in_any_order_give_identical_bits(x, p, resolve, data):
     extra = data.draw(st.sets(st.integers(1, x), max_size=3))
-    single = run_census(
-        RunConfig(p=p, norm_bounds=tuple(sorted(extra | {x})), resolve_classes=resolve)
-    )
-    t_max = single.trace_bounds[-1]
-    if strided:
-        n = data.draw(st.integers(1, max(1, t_max - 2)))
-        tasks = [range(3 + i, t_max + 1, n) for i in range(n)]
-    else:
-        cuts = data.draw(st.sets(st.integers(3, t_max + 1), max_size=8))
-        bounds = sorted(cuts | {3, t_max + 1})
-        tasks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    tasks = data.draw(st.permutations(tasks))
-    census._init_worker(single.config, TABLE)
-    results = [census._line_weights(ts) for ts in tasks]
-    ncls = len(single.class_labels) if resolve else 0
-    psi, cls = census._reduce(tasks, results, single.trace_bounds, p, ncls)
-    assert psi.tobytes() == single.psi.tobytes()
-    if resolve:
-        assert cls.tobytes() == single.class_psi.tobytes()
+    config = RunConfig(p=p, norm_bounds=tuple(sorted(extra | {x})), resolve_classes=resolve)
+    tbounds = tuple(trace_bound(xi) for xi in config.norm_bounds)
+    classes = sl2fp.class_list(p) if resolve else ()
+    label_index = {c.label: i for i, c in enumerate(classes)}
+    order = data.draw(st.permutations(range(3, tbounds[-1] + 1)))
+    rows = {t: census._line_weight(config, TABLE, label_index, t) for t in order}
+    psi, cls = census._reduce([rows[t] for t in sorted(rows)], tbounds, p, len(classes))
+    for workers in (1, 2, 3):
+        res = run_census(dataclasses.replace(config, workers=workers))
+        assert res.trace_bounds == tbounds
+        assert psi.tobytes() == res.psi.tobytes()
+        if resolve:
+            assert cls.tobytes() == res.class_psi.tobytes()
 
 
 def test_class_resolution_consistency():

@@ -1,10 +1,14 @@
 import json
+import multiprocessing
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from tracecensus.cli import CSV_HEADER, _checkpoint_grid, main
+from tracecensus import census
+from tracecensus.analysis import density_error_series, error_exponent_fit
+from tracecensus.census import RunConfig, run_census
+from tracecensus.cli import CSV_HEADER, _checkpoint_grid, _load_error_series, main
 
 
 def run(capsys, *argv):
@@ -138,6 +142,37 @@ def test_fit_roundtrip(capsys, tmp_path):
     assert code == 0
     assert text.startswith("p=3")
     assert "beta=" in text and "points=8" in text
+    # the stored rows give back exactly the in-memory series, hence its fit
+    res = run_census(RunConfig(p=3, norm_bounds=_checkpoint_grid(5000, 8)))
+    pts = density_error_series(res)
+    assert _load_error_series(str(out)) == {3: pts}
+    fit = error_exponent_fit(pts)
+    assert text == "p=3  beta=%.4f  coeff=%.4g  residual=%.4f  points=%d (dropped %d)\n" % (
+        fit.beta, fit.coeff, fit.residual, fit.points_used, fit.points_dropped
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, threads):
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched function reaches pool workers only when they fork")
+    real = census.class_number_and_reps
+
+    def failing(D):
+        if D == 45:
+            raise ArithmeticError("planted failure")
+        return real(D)
+
+    # D = 45 first splits t^2 - 4 at t = 7 (49 - 4 = 45)
+    monkeypatch.setattr(census, "class_number_and_reps", failing)
+    out = tmp_path / "f"
+    code, text, err = run(
+        capsys, "census", "--x", "3000", "--p", "5", "--threads", str(threads), "--out", str(out),
+    )
+    assert code != 0
+    assert err == "error: trace line t=7: planted failure\n"
+    assert text == ""
+    assert not out.exists()
 
 
 def test_fit_insufficient_points(capsys, tmp_path):
