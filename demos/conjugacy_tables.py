@@ -1,19 +1,14 @@
 """Conjugacy data of SL2(F_p) and the densities the census should hit.
 
-Prints the class table for a small prime three ways: the closed-form
-construction, a from-scratch orbit partition of the whole group, and the
-per-trace masses that combine into the predicted residue densities.
+Prints the class table for a small prime, checks it against the class
+equation (the classes fill the group, and each class size times its
+centralizer order is the group order), then prints the per-trace masses
+that combine into the predicted residue densities.
 """
 
 from fractions import Fraction
 
-from tracecensus import (
-    brute_force_classes,
-    class_list,
-    group_order,
-    predicted_density,
-    trace_mass,
-)
+from tracecensus import class_list, group_order, predicted_density, trace_mass
 
 P = 7
 
@@ -26,10 +21,11 @@ def main():
     for c in classes:
         print("%-16s %6d %8d %12d" % (":".join(map(str, c.label)), c.trace, c.size, c.centralizer))
 
-    brute = brute_force_classes(P)
-    closed = sorted((c.trace, c.size, c.centralizer) for c in classes)
+    order = group_order(P)
     print()
-    print("orbit partition of all %d elements agrees: %s" % (group_order(P), brute == closed))
+    print("class sizes sum to the group order: %s" % (sum(c.size for c in classes) == order))
+    print("size * centralizer = group order for every class: %s"
+          % all(c.size * c.centralizer == order for c in classes))
 
     print()
     print("a    trace mass      predicted density (folded with -a)")

@@ -25,9 +25,8 @@ from .census import (
     run_census,
     trace_bound,
     trace_decompositions,
-    unit_power_oracle,
 )
-from .lfunctions import chi_values, l_value, l_value_truncated
+from .lfunctions import chi_values, l_value
 from .numtheory import SpfTable, build_spf_table, factorize, kronecker
 from .quadforms import (
     class_number,
@@ -39,7 +38,6 @@ from .quadforms import (
 )
 from .sl2fp import (
     ConjClass,
-    brute_force_classes,
     class_list,
     class_mass,
     classify,
@@ -57,7 +55,6 @@ __all__ = [
     "RunConfig",
     "SpfTable",
     "__version__",
-    "brute_force_classes",
     "build_spf_table",
     "chi_values",
     "class_list",
@@ -74,7 +71,6 @@ __all__ = [
     "group_order",
     "kronecker",
     "l_value",
-    "l_value_truncated",
     "line_weight",
     "matrix_from_form",
     "pell_from_known",
@@ -85,6 +81,5 @@ __all__ = [
     "trace_bound",
     "trace_decompositions",
     "trace_mass",
-    "unit_power_oracle",
     "valid_discriminant",
 ]

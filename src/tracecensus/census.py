@@ -32,7 +32,6 @@ from .quadforms import (
     fundamental_unit,
     pell_from_known,
     unit_log,
-    valid_discriminant,
 )
 from . import sl2fp
 
@@ -220,41 +219,6 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
 
         return math.sqrt(D) * l_value(D, table)
     raise ValueError("unknown backend %r" % backend)
-
-
-def unit_power_oracle(x: int, p: int) -> np.ndarray:
-    """Per-residue census by scanning discriminants instead of traces.
-
-    For every valid discriminant D <= T(x)^2 - 4 (the largest any trace
-    line up to T(x) = trace_bound(x) can carry), finds the fundamental
-    unit by an exhaustive scan over s (complete because a unit of norm
-    at most x has s at most 2 sqrt(x) / sqrt(D)), then walks the trace
-    recurrence over its powers.  Slow and quadratic; it exists purely as
-    the second ordering of the same countable set for run_census to be
-    checked against.
-    """
-    sl2fp._require_prime(p)
-    tmax = trace_bound(x)
-    psi = np.zeros(p)
-    for d in range(5, tmax * tmax - 4 + 1):
-        if not valid_discriminant(d):
-            continue
-        smax = (2 * math.isqrt(x) + 2) // math.isqrt(d) + 1
-        fund = None
-        for s in range(1, smax + 1):
-            v = 4 + s * s * d
-            rv = math.isqrt(v)
-            if rv * rv == v:
-                fund = rv
-                break
-        if fund is None or fund > tmax:
-            continue
-        w = class_number(d) * 2.0 * unit_log(fund)
-        t_prev, t_cur = 2, fund
-        while t_cur <= tmax:
-            psi[t_cur % p] += w
-            t_prev, t_cur = t_cur, fund * t_cur - t_prev
-    return psi
 
 
 def run_census(config: RunConfig) -> CensusResult:

@@ -1,12 +1,11 @@
 """Command line front end.
 
 Subcommands: census (residue-mass series), classes (conjugacy tables),
-verify (internal consistency gauntlet), by-class (class-resolved census),
-fit (error exponent from a stored series), psi (totals only).
+by-class (class-resolved census), fit (error exponent from a stored
+series), psi (totals only).
 
-Exit codes: 0 success, 1 verification failure or a failing trace line
-(named in one error line, with no report written), 2 usage or argument
-error.
+Exit codes: 0 success, 1 a failing trace line (named in one error line,
+with no report written), 2 usage or argument error.
 """
 
 from __future__ import annotations
@@ -17,26 +16,10 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .analysis import class_report, density_rows, error_exponent_fit
-from .census import RunConfig, run_census, trace_bound, unit_power_oracle
-from .quadforms import (
-    class_count_bfs,
-    class_cycles,
-    fundamental_unit,
-    pell_from_known,
-    reduced_forms,
-    valid_discriminant,
-)
-from .sl2fp import (
-    brute_force_classes,
-    class_list,
-    class_mass,
-    group_order,
-    predicted_density,
-)
+from .census import RunConfig, run_census
+from .sl2fp import class_list, class_mass, group_order
 
 CSV_HEADER = "x,p,a,psi_a,psi_pm,predicted,abs_err,rel_err"
 
@@ -145,9 +128,12 @@ def _series_csv(results) -> str:
 
 
 def _cmd_census(args) -> int:
+    primes = args.p or [5]
+    if len(set(primes)) < len(primes):
+        raise ValueError("repeated --p in %s" % ", ".join(map(str, primes)))
     xs = _checkpoint_grid(args.x, args.checkpoints)
     results = []
-    for p in args.p:
+    for p in primes:
         cfg = RunConfig(
             p=p,
             norm_bounds=xs,
@@ -303,98 +289,6 @@ def _load_error_series(path: str) -> dict[int, list[tuple[int, float]]]:
     return out
 
 
-def _cmd_verify(args) -> int:
-    failures = 0
-
-    def report(ok: bool, name: str, detail: str) -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print("%s %s (%s)" % ("PASS" if ok else "FAIL", name, detail))
-
-    # conjugacy tables against the raw orbit partition
-    ok = True
-    detail = []
-    for p in args.p:
-        if p <= 13:
-            want = sorted((c.trace, c.size, c.centralizer) for c in class_list(p))
-            ok = ok and brute_force_classes(p) == want
-            detail.append("p=%d orbits" % p)
-        else:
-            total = sum(c.size for c in class_list(p))
-            ok = ok and total == group_order(p)
-            detail.append("p=%d class equation" % p)
-        ok = ok and sum(predicted_density(p, a) for a in range(p)) == 1
-    report(ok, "conjugacy-tables", ", ".join(detail))
-
-    # the cycles walked from root-lifted starts against the b-window scan,
-    # over the discriminants in census range
-    tmax = trace_bound(args.x)
-    dmax = max(tmax * tmax - 4, 5)
-    checked = bfs_checked = 0
-    ok = True
-    first_bad = None
-    for d in range(5, dmax + 1):
-        if not valid_discriminant(d):
-            continue
-        checked += 1
-        cycles = class_cycles(d)
-        if sorted(f for cyc in cycles for f in cyc) != reduced_forms(d):
-            ok = False
-            first_bad = first_bad or d
-        if d <= args.bfs_cap:
-            bfs_checked += 1
-            if len(cycles) != class_count_bfs(d):
-                ok = False
-                first_bad = first_bad or d
-    report(
-        ok,
-        "form-enumeration",
-        "%d discriminants, %d with orbit search" % (checked, bfs_checked)
-        if ok
-        else "first mismatch at D=%d" % first_bad,
-    )
-
-    # fundamental unit recovery from proper powers
-    ok = True
-    n = 0
-    for d in range(5, min(dmax, 2000) + 1):
-        if not valid_discriminant(d):
-            continue
-        n += 1
-        tau, s = fundamental_unit(d)
-        if pell_from_known(tau * tau - 2, tau * s, d) != (tau, s):
-            ok = False
-            break
-        t3, m3 = tau**3 - 3 * tau, s * (tau * tau - 1)
-        if pell_from_known(t3, m3, d) != (tau, s):
-            ok = False
-            break
-    report(ok, "unit-recovery", "%d discriminants" % n)
-
-    # census against the discriminant-ordered enumeration
-    ok = True
-    worst = 0.0
-    for p in args.p:
-        res = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=args.threads))
-        want = unit_power_oracle(args.x, p)
-        gap = float(np.max(np.abs(res.psi[0] - want) / np.maximum(want, 1e-300)))
-        worst = max(worst, gap)
-        ok = ok and gap <= 1e-9
-    report(ok, "census-dual-enumeration", "x=%d, worst rel gap %.2e" % (args.x, worst))
-
-    # determinism across worker counts
-    ok = True
-    for p in args.p:
-        base = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=1))
-        for w in (4, 8):
-            other = run_census(RunConfig(p=p, norm_bounds=(args.x,), workers=w))
-            ok = ok and np.array_equal(base.psi, other.psi)
-    report(ok, "parallel-determinism", "workers 1/4/8")
-
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracecensus",
@@ -402,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_primes(sp, default_p):
-        sp.add_argument(
-            "--p",
-            type=int,
-            action="append",
-            help="prime modulus, repeatable (default %s)" % (default_p,),
-        )
 
     def add_threads(sp):
         sp.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
@@ -420,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--backend", choices=("exact", "analytic"), default="exact")
     sp.add_argument("--delta-switch", type=int, default=10**6, help="analytic crossover discriminant (default 1e6)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_primes(sp, (5,))
+    sp.add_argument("--p", type=int, action="append", help="prime modulus, repeatable (default 5)")
     add_threads(sp)
     sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_census)
@@ -430,13 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_classes)
-
-    sp = sub.add_parser("verify", help="run the internal consistency suites")
-    sp.add_argument("--x", type=int, default=500, help="norm bound for the census suites (default 500)")
-    sp.add_argument("--bfs-cap", type=int, default=500, help="orbit-search ceiling for class counts (default 500)")
-    add_primes(sp, (2, 3, 5, 7))
-    add_threads(sp)
-    sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("by-class", help="class-resolved census report")
     sp.add_argument("--x", type=int, default=10**4, help="norm bound (default 10000)")
@@ -464,14 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_PRIMES = {"census": [5], "verify": [2, 3, 5, 7]}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "p", 0) is None and args.command in _DEFAULT_PRIMES:
-        args.p = _DEFAULT_PRIMES[args.command]
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,12 +1,10 @@
 """Dirichlet L-values at s = 1 for real quadratic characters kronecker(D, .).
 
-Two routes, kept deliberately separate.  l_value regroups the series by
-residue class and evaluates it in closed form through digamma, which is
-exact up to float roundoff.  l_value_truncated sums the series directly
-with a rigorous Abel tail bound from the exact maximal character sum; it
-is slow and tolerance-limited, which is fine for its cross-checking job.
+l_value regroups the series by residue class and evaluates it in closed
+form through digamma, which is exact up to float roundoff.  The tests keep
+a direct partial sum with a proven tail bound as its oracle.
 
-Both accept any positive nonsquare discriminant, fundamental or not: the
+It accepts any positive nonsquare discriminant, fundamental or not: the
 kronecker character of a non-maximal order is imprimitive and the missing
 Euler factors are exactly what the unit-weighted class data produces.
 """
@@ -60,37 +58,3 @@ def l_value(D: int, table: SpfTable) -> float:
     js = np.nonzero(chi)[0]
     terms = chi[js].astype(np.float64) * digamma(js.astype(np.float64) / D)
     return float(-terms.sum() / D)
-
-
-def l_value_truncated(D: int, table: SpfTable, rel_tol: float = 1e-3,
-                      n_cap: int = 2**25) -> float:
-    """Direct partial sums of chi(n)/n until the tail bound meets rel_tol.
-
-    The tail after N is at most 2B/(N+1) where B is the exact maximum of
-    |sum of chi up to k| over one period.  Raises if the cap is reached
-    before the requested tolerance is certified.
-    """
-    chi = chi_values(D, table)
-    partial = np.cumsum(chi.astype(np.int64))
-    bound = int(np.abs(partial).max())
-    chif = chi.astype(np.float64)
-    n = 1 << 16
-    while True:
-        s = _partial_sum(chif, D, n)
-        if 2.0 * bound / (n + 1) <= rel_tol * abs(s):
-            return s
-        n *= 2
-        if n > n_cap:
-            raise ValueError(
-                "rel_tol %g not certifiable for D=%d within %d terms" % (rel_tol, D, n_cap)
-            )
-
-
-def _partial_sum(chif: np.ndarray, D: int, n: int) -> float:
-    total = 0.0
-    step = 1 << 20
-    for lo in range(1, n + 1, step):
-        hi = min(lo + step, n + 1)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        total += float((chif[idx % D] / idx).sum())
-    return total

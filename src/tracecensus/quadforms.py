@@ -8,14 +8,13 @@ conjugacy classes of matrices and norm-one units of the order O_D.
 class_cycles walks rho from the reduced forms with 4a^2 < D, whose b are
 square roots of D mod 4a lifted from prime powers: O(sqrt(D)) values of a
 in place of the O(D) b-window scan of reduced_forms, which stays as its
-oracle.  verify and the tests check that the walked cycles cover exactly
-the scanned forms, so neither can silently drift.
+oracle.  The tests check that the walked cycles cover exactly the scanned
+forms, so neither can silently drift.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .numtheory import is_square, sqrt_mod_prime_power
 
@@ -43,18 +42,6 @@ def rho(form: Form, D: int) -> Form:
     s = math.isqrt(D)
     b2 = s - ((s + b) % (2 * abs(c)))
     return (c, b2, (b2 * b2 - D) // (4 * c))
-
-
-def apply_sl2(form: Form, mat: tuple[int, int, int, int]) -> Form:
-    """Transform a form by (alpha, beta, gamma, delta) in SL2(Z)."""
-    a, b, c = form
-    al, be, ga, de = mat
-    if al * de - be * ga != 1:
-        raise ValueError("matrix is not in SL2(Z)")
-    a2 = a * al * al + b * al * ga + c * ga * ga
-    b2 = 2 * a * al * be + b * (al * de + be * ga) + 2 * c * ga * de
-    c2 = a * be * be + b * be * de + c * de * de
-    return (a2, b2, c2)
 
 
 def reduced_forms(D: int) -> list[Form]:
@@ -104,7 +91,7 @@ def class_cycles(D: int) -> list[list[Form]]:
     prime powers of 4a, each solved once per call and glued by CRT.  Every
     rho step is checked to stay reduced.  Each cycle is listed from its
     smallest form, and the cycles in ascending order of it; their union is
-    reduced_forms(D), which the tests and verify check.
+    reduced_forms(D), which the tests check.
     """
     require_discriminant(D)
     s = math.isqrt(D)
@@ -168,42 +155,6 @@ def class_number_and_reps(D: int) -> tuple[int, list[Form]]:
 
 def class_number(D: int) -> int:
     return class_number_and_reps(D)[0]
-
-
-_BFS_GENS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))  # S, T, T^-1
-
-
-def class_count_bfs(D: int) -> int:
-    """Class count by BFS-partitioning reduced forms.  Oracle-grade, small D.
-
-    Knows nothing about rho-cycles: components under the generator moves.
-    Cost grows roughly quadratically in isqrt(D); keep D modest (<= ~10^5).
-    """
-    require_discriminant(D)
-    # a T-chain between cycle neighbours can pass through |c| = D/(4|a|),
-    # so D/4 (hit when |a| = 1) is the honest coefficient ceiling
-    box = max(math.isqrt(D), D // 4) + 9
-    remaining = set(reduced_forms(D))
-    count = 0
-    while remaining:
-        start = min(remaining)
-        count += 1
-        seen = {start}
-        frontier = deque([start])
-        remaining.discard(start)
-        while frontier:
-            cur = frontier.popleft()
-            for mat in _BFS_GENS:
-                nxt = apply_sl2(cur, mat)
-                if nxt in seen:
-                    continue
-                na, nb, nc = nxt
-                if abs(na) > box or abs(nb) > box or abs(nc) > box:
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
-                remaining.discard(nxt)
-    return count
 
 
 def _int_root(n: int, k: int) -> int:

@@ -115,54 +115,6 @@ def classify(mat: Mat, p: int) -> Label:
     return ("unipotent", sign, kronecker(alpha, p))
 
 
-def brute_force_classes(p: int) -> list[tuple[int, int, int]]:
-    """(trace, size, centralizer) per class by raw orbit partition.
-
-    Enumerates the whole group and closes orbits under conjugation by the
-    two standard generators.  Exponential-feeling and proud of it; only
-    sane for p up to around 13.  Exists to check class_list against
-    arithmetic-free ground truth.
-    """
-    _require_prime(p)
-    group = [
-        (a, b, c, d)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-        if (a * d - b * c) % p == 1
-    ]
-    gens = ((1, 1, 0, 1), (0, 1, p - 1, 0))
-
-    def mul(m, n):
-        a, b, c, d = m
-        e, f, g, h = n
-        return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
-
-    def inv(m):
-        a, b, c, d = m
-        return (d, (-b) % p, (-c) % p, a)
-
-    order = len(group)
-    remaining = set(group)
-    out = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        stack = [start]
-        remaining.discard(start)
-        while stack:
-            m = stack.pop()
-            for g in gens:
-                n = mul(mul(g, m), inv(g))
-                if n not in orbit:
-                    orbit.add(n)
-                    stack.append(n)
-                    remaining.discard(n)
-        out.append(((start[0] + start[3]) % p, len(orbit), order // len(orbit)))
-    return sorted(out)
-
-
 def trace_mass(p: int, a: int) -> Fraction:
     """Sum of 2 / |centralizer| over classes with trace a mod p."""
     a %= p

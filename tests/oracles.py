@@ -2,15 +2,24 @@
 
 Nothing here shares algorithmic structure with the production code paths:
 forms come from trial division, units from continued fraction convergents,
-census weights from a discriminant scan.  The one exception is
-scan_class_cycles, which partitions the package's b-window scan (the oracle
-for class_cycles' root-lifted starts) with rho.  Keep these dumb.
+census weights from a discriminant scan, conjugacy classes from an orbit
+partition of the whole group, and L-values from direct partial sums of
+chi(n)/n up to a proven tail bound (l_value_truncated).  Two oracles start
+from the package's b-window scan, itself the oracle for class_cycles'
+root-lifted starts: scan_class_cycles partitions it with rho, and
+class_count_bfs into components under S, T and T^-1, knowing nothing of
+rho.  Keep these dumb.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
-from tracecensus.quadforms import reduced_forms, rho
+import numpy as np
+
+from tracecensus.lfunctions import chi_values
+from tracecensus.numtheory import SpfTable
+from tracecensus.quadforms import Form, reduced_forms, require_discriminant, rho
 
 
 def scan_class_cycles(D):
@@ -40,6 +49,54 @@ def scan_class_cycles(D):
             f = rho(f, D)
         cycles.append(cycle)
     return cycles
+
+
+def apply_sl2(form: Form, mat: tuple[int, int, int, int]) -> Form:
+    """Transform a form by (alpha, beta, gamma, delta) in SL2(Z)."""
+    a, b, c = form
+    al, be, ga, de = mat
+    if al * de - be * ga != 1:
+        raise ValueError("matrix is not in SL2(Z)")
+    a2 = a * al * al + b * al * ga + c * ga * ga
+    b2 = 2 * a * al * be + b * (al * de + be * ga) + 2 * c * ga * de
+    c2 = a * be * be + b * be * de + c * de * de
+    return (a2, b2, c2)
+
+
+_BFS_GENS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))  # S, T, T^-1
+
+
+def class_count_bfs(D: int) -> int:
+    """Class count by BFS-partitioning reduced forms.  Oracle-grade, small D.
+
+    Knows nothing about rho-cycles: components under the generator moves.
+    Cost grows roughly quadratically in isqrt(D); keep D modest (<= ~10^5).
+    """
+    require_discriminant(D)
+    # a T-chain between cycle neighbours can pass through |c| = D/(4|a|),
+    # so D/4 (hit when |a| = 1) is the honest coefficient ceiling
+    box = max(math.isqrt(D), D // 4) + 9
+    remaining = set(reduced_forms(D))
+    count = 0
+    while remaining:
+        start = min(remaining)
+        count += 1
+        seen = {start}
+        frontier = deque([start])
+        remaining.discard(start)
+        while frontier:
+            cur = frontier.popleft()
+            for mat in _BFS_GENS:
+                nxt = apply_sl2(cur, mat)
+                if nxt in seen:
+                    continue
+                na, nb, nc = nxt
+                if abs(na) > box or abs(nb) > box or abs(nc) > box:
+                    continue
+                seen.add(nxt)
+                frontier.append(nxt)
+                remaining.discard(nxt)
+    return count
 
 
 def brute_reduced_forms(D):
@@ -244,6 +301,13 @@ def sl2_conjugacy_orbits(p):
     return orbits
 
 
+def orbit_class_table(p):
+    """(trace, size, centralizer) of every orbit of sl2_conjugacy_orbits, sorted."""
+    orbits = sl2_conjugacy_orbits(p)
+    order = sum(len(o) for o in orbits)
+    return sorted(((o[0][0] + o[0][3]) % p, len(o), order // len(o)) for o in orbits)
+
+
 def _mul2(m, n, p):
     a, b, c, d = m
     e, f, g, h = n
@@ -272,3 +336,37 @@ def _kron(n, p):
     if n == 0:
         return 0
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
+
+
+def l_value_truncated(D: int, table: SpfTable, rel_tol: float = 1e-3,
+                      n_cap: int = 2**25) -> float:
+    """Direct partial sums of chi(n)/n until the tail bound meets rel_tol.
+
+    The tail after N is at most 2B/(N+1) where B is the exact maximum of
+    |sum of chi up to k| over one period.  Raises if the cap is reached
+    before the requested tolerance is certified.
+    """
+    chi = chi_values(D, table)
+    partial = np.cumsum(chi.astype(np.int64))
+    bound = int(np.abs(partial).max())
+    chif = chi.astype(np.float64)
+    n = 1 << 16
+    while True:
+        s = _partial_sum(chif, D, n)
+        if 2.0 * bound / (n + 1) <= rel_tol * abs(s):
+            return s
+        n *= 2
+        if n > n_cap:
+            raise ValueError(
+                "rel_tol %g not certifiable for D=%d within %d terms" % (rel_tol, D, n_cap)
+            )
+
+
+def _partial_sum(chif: np.ndarray, D: int, n: int) -> float:
+    total = 0.0
+    step = 1 << 20
+    for lo in range(1, n + 1, step):
+        hi = min(lo + step, n + 1)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        total += float((chif[idx % D] / idx).sum())
+    return total

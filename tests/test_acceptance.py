@@ -12,7 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 from conftest import ACCEPTANCE
-from oracles import _brute_class_count, closed_form_density
+from oracles import (
+    _brute_class_count,
+    closed_form_density,
+    orbit_class_table,
+    psi_by_discriminant_scan,
+)
 
 from tracecensus.analysis import (
     class_report,
@@ -20,7 +25,7 @@ from tracecensus.analysis import (
     density_report,
     error_exponent_fit,
 )
-from tracecensus.census import RunConfig, line_weight, run_census, unit_power_oracle
+from tracecensus.census import RunConfig, line_weight, run_census
 from tracecensus.numtheory import build_spf_table
 from tracecensus.quadforms import (
     class_number,
@@ -29,7 +34,6 @@ from tracecensus.quadforms import (
     valid_discriminant,
 )
 from tracecensus.sl2fp import (
-    brute_force_classes,
     class_list,
     group_order,
     predicted_density,
@@ -70,7 +74,7 @@ def test_criterion_01_brute_force_class_tables():
     bad = []
     for p in (2, 3, 5, 7, 11, 13):
         want = sorted((c.trace, c.size, c.centralizer) for c in class_list(p))
-        if brute_force_classes(p) != want:
+        if orbit_class_table(p) != want:
             bad.append(p)
     dt = time.perf_counter() - t0
     ok = not bad and dt < 10.0
@@ -165,7 +169,7 @@ def test_criterion_07_census_vs_unit_power_oracle():
     worst = 0.0
     for p in CENSUS_PRIMES:
         res = run_census(RunConfig(p=p, norm_bounds=(500,)))
-        want = unit_power_oracle(500, p)
+        want = psi_by_discriminant_scan(500, p)[0]
         gap = float(np.max(np.abs(res.psi[0] - want) / want))
         worst = max(worst, gap)
     ok = worst <= 1e-9

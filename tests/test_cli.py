@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tracecensus import census
+from tracecensus import census, cli
 from tracecensus.analysis import density_error_series, error_exponent_fit
 from tracecensus.census import RunConfig, run_census
 from tracecensus.cli import CSV_HEADER, _checkpoint_grid, _load_error_series, main
@@ -187,12 +187,18 @@ def test_fit_insufficient_points(capsys, tmp_path):
     assert "insufficient" in err
 
 
-def test_verify_passes(capsys):
-    code, text, _ = run(capsys, "verify", "--x", "120", "--bfs-cap", "120", "--p", "3")
-    assert code == 0
-    lines = text.strip().splitlines()
-    assert len(lines) == 5
-    assert all(line.startswith("PASS ") for line in lines)
+def test_repeated_prime_is_usage_error(capsys, tmp_path, monkeypatch):
+    def no_census(config):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(cli, "run_census", no_census)
+    out = tmp_path / "r.csv"
+    code, text, err = run(capsys, "census", "--x", "200", "--p", "3", "--p", "5", "--p", "3",
+                          "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert text == ""
+    assert not out.exists()
 
 
 def test_nonprime_modulus_is_usage_error(capsys):
@@ -205,3 +211,10 @@ def test_missing_required_argument_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census"])
     assert exc.value.code == 2
+
+
+def test_unknown_subcommand_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err

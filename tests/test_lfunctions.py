@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tracecensus.lfunctions import chi_values, l_value, l_value_truncated
+from tracecensus.lfunctions import chi_values, l_value
 from tracecensus.numtheory import build_spf_table, kronecker
 from tracecensus.census import line_weight
+
+from oracles import l_value_truncated
 
 TABLE = build_spf_table(3000)
 

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from tracecensus.quadforms import (
     _trace_power,
-    apply_sl2,
-    class_count_bfs,
     class_cycles,
     class_number,
     class_number_and_reps,
@@ -19,7 +17,14 @@ from tracecensus.quadforms import (
     valid_discriminant,
 )
 
-from oracles import _reduced, brute_reduced_forms, pell_oracle, scan_class_cycles
+from oracles import (
+    _reduced,
+    apply_sl2,
+    brute_reduced_forms,
+    class_count_bfs,
+    pell_oracle,
+    scan_class_cycles,
+)
 
 
 def small_discs(lo=5, hi=400):
