@@ -12,11 +12,11 @@ from tracecensus import (
     build_spf_table,
     class_number,
     fundamental_unit,
-    l_value,
     line_weight,
     reduced_forms,
     valid_discriminant,
 )
+from tracecensus.lfunctions import l_value
 
 SHOWCASE = [5, 8, 12, 13, 40, 45, 60, 316, 1596]
 

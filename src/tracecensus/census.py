@@ -89,10 +89,12 @@ class RunConfig:
 
     norm_bounds are the checkpoint values of x, ascending.  workers is the
     number of processes the trace lines are spread over; it never changes
-    the result.  With the analytic backend, line weights for discriminants
-    above delta_switch come from the L-value closed form instead of cycle
-    counting; class resolution then has no representatives to classify
-    and is refused.
+    the result.  With the analytic backend, the splittings of a line whose
+    discriminant exceeds delta_switch are weighed by one L-value of the
+    line's fundamental discriminant D0 (Cohen's series, O(sqrt(D0))) times
+    each splitting's exact Euler multiplier, instead of by cycle counting;
+    class resolution then has no representatives to classify and is
+    refused.
     """
 
     p: int
@@ -145,17 +147,24 @@ def _line_weight(config: RunConfig, table: SpfTable, label_index: dict,
                  t: int) -> tuple[float, list[float]]:
     """Weight of trace line t, and its split over the classes in label_index.
 
-    Terms are added in ascending (m, form) order.  Any failure is raised
-    again naming the line, so a run never reports without it.
+    Exact terms are added in ascending (m, form) order.  The analytic
+    splittings then add one term: every splitting D = D0 * f^2 of the line
+    shares D0, so they take one L-value times the sum of their exact Euler
+    multipliers.  Any failure is raised again naming the line, so a run
+    never reports without it.
     """
+    from . import lfunctions
+
     try:
         w_line = 0.0
         split = [0.0] * len(label_index)
-        for m, d in trace_decompositions(t, table):
+        splittings = trace_decompositions(t, table)
+        # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the one with largest m
+        m0, d0 = splittings[-1]
+        multiplier = 0
+        for m, d in splittings:
             if config.backend == "analytic" and d > config.delta_switch:
-                from .lfunctions import l_value
-
-                w_line += 2.0 * math.sqrt(d) * l_value(d, table)
+                multiplier += lfunctions.euler_multiplier(d0, m0 // m, table)
                 continue
             h, reps = class_number_and_reps(d)
             tau0, _ = pell_from_known(t, m, d)
@@ -165,6 +174,8 @@ def _line_weight(config: RunConfig, table: SpfTable, label_index: dict,
                 mat = matrix_from_form(t, m, form)
                 label = sl2fp.classify(tuple(v % config.p for v in mat), config.p)
                 split[label_index[label]] += 2.0 * logeps
+        if multiplier:
+            w_line += 2.0 * multiplier * math.sqrt(d0) * lfunctions.l_value(d0, table)
         return w_line, split
     except Exception as exc:
         raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
@@ -188,18 +199,13 @@ def _reduce(rows: Sequence[tuple[float, list[float]]], tbounds: Sequence[int], p
 
 
 def required_table_limit(x: int, backend: str = "exact") -> int:
-    """Spf table size covering factorization and root work up to bound x.
+    """Spf table size covering every line up to bound x, for either backend.
 
-    The analytic backend also fills character tables over a full period,
-    so it needs the sieve to reach the largest discriminant in range.
+    4T + 16 reaches past every t +- 2 and every conductor, and past the
+    isqrt(D) trial division and the about 3.7 sqrt(D0) <= 3.7 T character
+    values of the analytic backend, so backend does not change it.
     """
-    t = trace_bound(x)
-    limit = max(4 * t + 16, 64)
-    if backend == "analytic":
-        limit = max(limit, t * t - 4)
-        if limit > 3 * 10**8:
-            raise ValueError("analytic backend infeasible at this bound")
-    return limit
+    return max(4 * trace_bound(x) + 16, 64)
 
 
 def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -> float:
@@ -207,7 +213,8 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
 
     exact: class cycle count times the chakravala unit logarithm.
     analytic: sqrt(D) * L(1, chi_D) by the class number formula, computed
-    through the digamma closed form; needs a table with limit >= D - 1.
+    through Cohen's erfc/E1 series; the table must reach isqrt(D) and
+    about 3.7 sqrt(D0) for the fundamental part D0 of D.
     """
     if backend == "exact":
         tau, _ = fundamental_unit(D)
@@ -215,9 +222,9 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
     if backend == "analytic":
         if table is None:
             raise ValueError("the analytic backend needs an spf table")
-        from .lfunctions import l_value
+        from . import lfunctions
 
-        return math.sqrt(D) * l_value(D, table)
+        return math.sqrt(D) * lfunctions.l_value(D, table)
     raise ValueError("unknown backend %r" % backend)
 
 

@@ -8,6 +8,7 @@ walk instead of trial division.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,8 +34,9 @@ class SpfTable:
     limit: int
     spf: np.ndarray = field(repr=False)
 
-    @property
+    @functools.cached_property
     def primes(self) -> np.ndarray:
+        """Every prime up to limit, ascending; computed once per table."""
         idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
         return np.nonzero(self.spf == idx)[0][1:]  # [1:] drops the spf[0]==0 match
 

@@ -3,7 +3,8 @@
 Nothing here shares algorithmic structure with the production code paths:
 forms come from trial division, units from continued fraction convergents,
 census weights from a discriminant scan, conjugacy classes from an orbit
-partition of the whole group, and L-values from direct partial sums of
+partition of the whole group, and L-values from the digamma closed form over
+one full period of chi (l_value_digamma) and from direct partial sums of
 chi(n)/n up to a proven tail bound (l_value_truncated).  Two oracles start
 from the package's b-window scan, itself the oracle for class_cycles'
 root-lifted starts: scan_class_cycles partitions it with rho, and
@@ -16,9 +17,9 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import digamma
 
-from tracecensus.lfunctions import chi_values
-from tracecensus.numtheory import SpfTable
+from tracecensus.numtheory import SpfTable, kronecker
 from tracecensus.quadforms import Form, reduced_forms, require_discriminant, rho
 
 
@@ -336,6 +337,48 @@ def _kron(n, p):
     if n == 0:
         return 0
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
+
+
+def chi_values(D: int, table: SpfTable) -> np.ndarray:
+    """kronecker(D, n) for n = 0 .. D-1 as an int8 array.
+
+    Filled multiplicatively: one kronecker evaluation per prime, then
+    prime-power slice multiplications, so the whole period costs about
+    D log log D cheap array operations.
+    """
+    require_discriminant(D)
+    if table.limit < D - 1:
+        raise ValueError("spf table limit %d too small for D=%d" % (table.limit, D))
+    chi = np.ones(D, dtype=np.int8)
+    chi[0] = 0
+    primes = table.primes
+    for q in primes[primes < D]:
+        q = int(q)
+        v = kronecker(D, q)
+        if v == 0:
+            chi[q::q] = 0
+            continue
+        if v == 1:
+            continue
+        qk = q
+        while qk < D:
+            chi[qk::qk] *= -1
+            qk *= q
+    return chi
+
+
+def l_value_digamma(D: int, table: SpfTable) -> float:
+    """L(1, chi_D) via the digamma closed form over one period, O(D).
+
+    Regroups the series by residue class, which needs the sum of chi over
+    a period to vanish; it does for every nonsquare discriminant.
+    """
+    chi = chi_values(D, table)
+    if int(chi.astype(np.int64).sum()) != 0:
+        raise RuntimeError("character sum over a period is nonzero for D=%d" % D)
+    js = np.nonzero(chi)[0]
+    terms = chi[js].astype(np.float64) * digamma(js.astype(np.float64) / D)
+    return float(-terms.sum() / D)
 
 
 def l_value_truncated(D: int, table: SpfTable, rel_tol: float = 1e-3,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecensus import census
+from tracecensus import census, lfunctions
 from tracecensus.census import (
     CensusResult,
     RunConfig,
@@ -190,6 +190,37 @@ def test_required_table_limit_covers_run():
     res = run_census(RunConfig(p=3, norm_bounds=(x,)))
     assert res.table_limit == table.limit
     assert res.psi_total()[0] > 0
+
+
+def test_required_table_limit_is_backend_free():
+    # the analytic backend needs no sieve to T^2 and has no upper cliff
+    for x in (2500, 6 * 10**4, 4 * 10**8, 10**9):
+        t = trace_bound(x)
+        assert required_table_limit(x, "analytic") == required_table_limit(x) == max(4 * t + 16, 64)
+
+
+def test_line_ends_with_fundamental_splitting():
+    # the analytic backend reads D0 off the last (largest m) splitting
+    for t in range(3, 1500):
+        m0, d0 = trace_decompositions(t, TABLE)[-1]
+        assert lfunctions.fundamental_part(d0, TABLE) == (d0, 1), t
+        assert m0 * m0 * d0 == t * t - 4
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_analytic_backend_matches_exact(p):
+    x = 10**5
+    exact = run_census(RunConfig(p=p, norm_bounds=(x,)))
+    analytic = run_census(RunConfig(p=p, norm_bounds=(x,), backend="analytic", delta_switch=10))
+    assert analytic.table_limit == exact.table_limit
+    np.testing.assert_allclose(analytic.psi, exact.psi, rtol=1e-13, atol=0)
+
+
+def test_analytic_backend_worker_count_does_not_change_bits():
+    kw = dict(p=5, norm_bounds=(3000, 20000), backend="analytic", delta_switch=50)
+    r1 = run_census(RunConfig(workers=1, **kw))
+    r2 = run_census(RunConfig(workers=2, **kw))
+    assert r1.psi.tobytes() == r2.psi.tobytes()
 
 
 def test_config_validation():

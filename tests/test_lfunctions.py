@@ -1,15 +1,28 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tracecensus.lfunctions import chi_values, l_value
+from tracecensus.lfunctions import (
+    TAIL_REL,
+    chi_prefix,
+    euler_multiplier,
+    fundamental_part,
+    l_value,
+    series_length,
+    tail_bound,
+)
 from tracecensus.numtheory import build_spf_table, kronecker
 from tracecensus.census import line_weight
 
-from oracles import l_value_truncated
+from oracles import chi_values, l_value_digamma, l_value_truncated
 
 TABLE = build_spf_table(3000)
+BIG = build_spf_table(2 * 10**5)
 
 # h * log(eps) for the identity test, taken from the pinned quadforms data.
 PINNED_HLOG = {
@@ -24,6 +37,17 @@ PINNED_HLOG = {
     45: 2 * math.acosh(7 / 2),
     60: 4 * math.acosh(4.0),
 }
+
+
+def is_fundamental(D):
+    """D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree."""
+    m = D if D % 4 == 1 else D // 4
+    if D % 4 == 0 and m % 4 not in (2, 3):
+        return False
+    return all(m % (q * q) for q in range(2, math.isqrt(m) + 1))
+
+
+FUNDAMENTAL = [d for d in range(5, 2 * 10**4 + 1) if d % 4 in (0, 1) and is_fundamental(d)]
 
 
 def test_chi_pinned_periods():
@@ -43,9 +67,42 @@ def test_chi_period_sum_vanishes(D):
     assert int(chi_values(D, TABLE).astype(np.int64).sum()) == 0
 
 
+@pytest.mark.parametrize("D0", [5, 8, 12, 13, 21, 24, 28, 40, 221, 1005, 1724, 19996, 19997])
+def test_chi_prefix_matches_kronecker_pointwise(D0):
+    assert is_fundamental(D0)
+    n = series_length(D0)
+    chi = chi_prefix(D0, n, BIG)
+    assert len(chi) == n + 1
+    assert [int(v) for v in chi] == [kronecker(D0, k) for k in range(n + 1)]
+
+
+def test_fundamental_part_pinned():
+    assert fundamental_part(5, TABLE) == (5, 1)
+    assert fundamental_part(45, TABLE) == (5, 3)
+    assert fundamental_part(12, TABLE) == (12, 1)
+    assert fundamental_part(32, TABLE) == (8, 2)
+    assert fundamental_part(80, TABLE) == (5, 4)
+    assert fundamental_part(4 * 1009, TABLE) == (1009, 2)
+    assert fundamental_part(1009 * 3**2 * 7**2, TABLE) == (1009, 21)
+    # D beyond the table limit: trial division only needs isqrt(D), and
+    # what is left after it is one prime above isqrt(D)
+    assert fundamental_part(4 * 13 * 29**2, TABLE) == (13, 58)
+    assert fundamental_part(4 * 2999, TABLE) == (4 * 2999, 1)
+    assert fundamental_part(3 * 2999 * 3**2, TABLE) == (3 * 2999, 3)
+
+
+def test_euler_multiplier_is_the_exact_product():
+    for D0 in (5, 8, 12, 13, 1009):
+        for f in range(1, 60):
+            want = Fraction(f)
+            for q in {q for q in range(2, f + 1) if f % q == 0 and all(q % r for r in range(2, q))}:
+                want *= 1 - Fraction(kronecker(D0, q), q)
+            assert euler_multiplier(D0, f, TABLE) == want, (D0, f)
+
+
 def test_l_value_golden_ratio_case():
     expected = 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    assert abs(l_value(5, TABLE) - expected) < 1e-12
+    assert abs(l_value(5, TABLE) - expected) < 1e-15
 
 
 @pytest.mark.parametrize("D", sorted(PINNED_HLOG))
@@ -77,12 +134,106 @@ def test_chi_complete_multiplicativity():
 
 def test_table_too_small_raises():
     small = build_spf_table(64)
-    with pytest.raises(ValueError):
-        chi_values(221, small)
+    # 1009 is fundamental and needs series_length(1009) > 64 character values
+    with pytest.raises(ValueError, match=r"64 too small for the %d series terms" % series_length(1009)):
+        l_value(1009, small)
+    # trial division of D needs the table to reach isqrt(D)
+    with pytest.raises(ValueError, match=r"limit 64 is below isqrt\(D\) = 69"):
+        l_value(5 * 31 * 31, small)
 
 
 def test_invalid_discriminant_rejected():
-    with pytest.raises(ValueError):
-        chi_values(7, TABLE)
-    with pytest.raises(ValueError):
-        chi_values(16, TABLE)
+    for D in (7, 16, 4, 0, -3):
+        with pytest.raises(ValueError):
+            l_value(D, TABLE)
+
+
+def test_series_length_tail_is_certified():
+    for D0 in (5, 8, 1009, 10**6 + 1, 10**9 + 1, 10**12 + 1):
+        n = series_length(D0)
+        assert n <= math.ceil(3.7 * math.sqrt(D0)) + 1
+        assert tail_bound(D0, n) <= TAIL_REL * 0.5 * math.log(D0)
+
+
+# ---- Cohen's series against the two oracles ----
+
+@st.composite
+def discriminants(draw, limit):
+    """Any valid D <= limit, with non-fundamental D = D0 * f^2 forced in,
+    including conductors that share primes with D0."""
+    kind = draw(st.sampled_from(["any", "4", "9", "shared"]))
+    if kind == "any":
+        D = draw(st.integers(5, limit))
+        assume(D % 4 in (0, 1) and math.isqrt(D) ** 2 != D)
+        return D
+    D0 = draw(st.sampled_from([d for d in FUNDAMENTAL if d * 4 <= limit]))
+    if kind == "4":
+        return 4 * D0
+    if kind == "9":
+        assume(9 * D0 <= limit)
+        return 9 * D0
+    q = min(q for q in range(2, D0 + 1) if D0 % q == 0)  # a prime of D0
+    f = q * draw(st.sampled_from([1, 1, 2, 3, q]))
+    assume(D0 * f * f <= limit)
+    return D0 * f * f
+
+
+@settings(max_examples=150, deadline=None)
+@given(D=discriminants(2 * 10**5))
+def test_l_value_matches_digamma_oracle(D):
+    got = l_value(D, BIG)
+    want = l_value_digamma(D, BIG)
+    assert abs(got - want) <= 1e-13 * want, (D, got, want)
+
+
+def mp_series(D0):
+    """sqrt(D0) L(1, chi_D0) at 50 digits: Cohen's series with exact chi,
+    run until the terms are below 1e-60, independent of series_length."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        root = mpmath.sqrt(D0)
+        c = mpmath.pi / D0
+        n = 1
+        while True:
+            y = c * n * n
+            if y > 140:  # exp(-140) / 140 < 1e-62
+                return total
+            chi = kronecker(D0, n)
+            if chi:
+                total += chi * (root / n * mpmath.erfc(mpmath.sqrt(y)) + mpmath.e1(y))
+            n += 1
+
+
+def check_against_mpmath(D):
+    D0, f = fundamental_part(D, BIG)
+    with mpmath.workdps(50):
+        want = euler_multiplier(D0, f, BIG) * mp_series(D0) / mpmath.sqrt(D)
+        got = l_value(D, BIG)
+        assert abs(got - want) <= 1e-13 * want, (D, got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(D0=st.sampled_from(FUNDAMENTAL))
+def test_l_value_matches_mpmath_series(D0):
+    check_against_mpmath(D0)
+
+
+# fundamental 1 mod 4, fundamental 4m, and 40001 * 5^2
+@pytest.mark.parametrize("D", [1_000_001, 999_996, 1_000_025])
+def test_l_value_matches_mpmath_near_1e6(D):
+    check_against_mpmath(D)
+
+
+@pytest.mark.parametrize("D0", [5, 1009, 19997])
+def test_tail_bound_exceeds_true_tail(D0):
+    n = series_length(D0) // 2
+    with mpmath.workdps(30):
+        c = mpmath.pi / D0
+        root = mpmath.sqrt(D0)
+        tail = mpmath.mpf(0)
+        k = n + 1
+        while c * k * k < 140:
+            y = c * k * k
+            tail += root / k * mpmath.erfc(mpmath.sqrt(y)) + mpmath.e1(y)
+            k += 1
+    assert tail <= tail_bound(D0, n)
