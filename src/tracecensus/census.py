@@ -1,4 +1,4 @@
-"""Exact census of unit-weighted class data along trace lines.
+"""Census of unit-weighted class data along trace lines.
 
 For every integer trace t with 3 <= t <= trace_bound(x), every splitting
 t*t - 4 = m*m * D with D a valid discriminant contributes
@@ -6,6 +6,14 @@ h(D) * 2 * log(eps_D) to the residue class t mod p, where h(D) counts the
 primitive reduced cycles of discriminant D and eps_D is the fundamental
 totally positive unit.  The per-residue totals divided by x are the
 quantities whose limits the closed-form conjugacy masses predict.
+
+Every splitting of one line shares the fundamental discriminant D0 of
+t*t - 4, and h(D) * log(eps_D) = sqrt(D) * L(1, chi_D) is an exact integer
+Euler multiplier times sqrt(D0) * L(1, chi_D0).  So each line is weighed by
+one L-value (Cohen's series, O(sqrt(D0))).  Class resolution needs forms
+only where t = +-2 (mod p): on every other line t mod p alone fixes the
+SL2(F_p) class.  The exact route (class cycles times units) stays as the
+oracle, line_weight(D, backend="exact").
 
 Each line's weight is a pure function of t, and run_census maps it over
 the trace range, serially or in a process pool.  The line weights are
@@ -89,12 +97,9 @@ class RunConfig:
 
     norm_bounds are the checkpoint values of x, ascending.  workers is the
     number of processes the trace lines are spread over; it never changes
-    the result.  With the analytic backend, the splittings of a line whose
-    discriminant exceeds delta_switch are weighed by one L-value of the
-    line's fundamental discriminant D0 (Cohen's series, O(sqrt(D0))) times
-    each splitting's exact Euler multiplier, instead of by cycle counting;
-    class resolution then has no representatives to classify and is
-    refused.
+    the result.  backend and delta_switch choose nothing: every line is
+    weighed by the same route, and both fields are accepted only because
+    the benchmark still passes them.
     """
 
     p: int
@@ -116,8 +121,6 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
         if self.backend not in ("exact", "analytic"):
             raise ValueError("backend must be exact or analytic")
-        if self.backend == "analytic" and self.resolve_classes:
-            raise ValueError("class resolution needs the exact backend")
         if self.delta_switch < 5:
             raise ValueError("delta_switch must be at least 5")
 
@@ -147,35 +150,36 @@ def _line_weight(config: RunConfig, table: SpfTable, label_index: dict,
                  t: int) -> tuple[float, list[float]]:
     """Weight of trace line t, and its split over the classes in label_index.
 
-    Exact terms are added in ascending (m, form) order.  The analytic
-    splittings then add one term: every splitting D = D0 * f^2 of the line
-    shares D0, so they take one L-value times the sum of their exact Euler
-    multipliers.  Any failure is raised again naming the line, so a run
-    never reports without it.
+    Every splitting D = D0 * f^2 of the line shares D0, so the weight is
+    2 sqrt(D0) L(1, chi_D0) times the sum of the splittings' exact Euler
+    multipliers: one L-value per line.  With classes, a line with
+    t != +-2 (mod p) goes whole to the class of the companion matrix of
+    x^2 - t x + 1, the only class of that trace; on the other lines each
+    class cycle adds its 2 log eps to the class of its matrix, in
+    ascending (m, form) order.  Any failure is raised again naming the
+    line, so a run never reports without it.
     """
     from . import lfunctions
 
     try:
-        w_line = 0.0
-        split = [0.0] * len(label_index)
         splittings = trace_decompositions(t, table)
         # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the one with largest m
         m0, d0 = splittings[-1]
-        multiplier = 0
-        for m, d in splittings:
-            if config.backend == "analytic" and d > config.delta_switch:
-                multiplier += lfunctions.euler_multiplier(d0, m0 // m, table)
-                continue
-            h, reps = class_number_and_reps(d)
-            tau0, _ = pell_from_known(t, m, d)
-            logeps = unit_log(tau0)
-            w_line += h * 2.0 * logeps
-            for form in (reps if label_index else ()):
-                mat = matrix_from_form(t, m, form)
-                label = sl2fp.classify(tuple(v % config.p for v in mat), config.p)
-                split[label_index[label]] += 2.0 * logeps
-        if multiplier:
-            w_line += 2.0 * multiplier * math.sqrt(d0) * lfunctions.l_value(d0, table)
+        multiplier = sum(lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings)
+        w_line = 2.0 * multiplier * math.sqrt(d0) * lfunctions.l_value(d0, table)
+        split = [0.0] * len(label_index)
+        p = config.p
+        if label_index and (t - 2) % p and (t + 2) % p:
+            split[label_index[sl2fp.classify((0, p - 1, 1, t % p), p)]] = w_line
+        elif label_index:
+            for m, d in splittings:
+                _, reps = class_number_and_reps(d)
+                tau0, _ = pell_from_known(t, m, d)
+                logeps = unit_log(tau0)
+                for form in reps:
+                    mat = matrix_from_form(t, m, form)
+                    label = sl2fp.classify(tuple(v % p for v in mat), p)
+                    split[label_index[label]] += 2.0 * logeps
         return w_line, split
     except Exception as exc:
         raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
@@ -199,22 +203,24 @@ def _reduce(rows: Sequence[tuple[float, list[float]]], tbounds: Sequence[int], p
 
 
 def required_table_limit(x: int, backend: str = "exact") -> int:
-    """Spf table size covering every line up to bound x, for either backend.
+    """Spf table size covering every line up to bound x.
 
     4T + 16 reaches past every t +- 2 and every conductor, and past the
-    isqrt(D) trial division and the about 3.7 sqrt(D0) <= 3.7 T character
-    values of the analytic backend, so backend does not change it.
+    isqrt(D0) trial division and the about 3.7 sqrt(D0) <= 3.7 T character
+    values of the L-value.  backend is accepted for the benchmark and
+    changes nothing.
     """
     return max(4 * trace_bound(x) + 16, 64)
 
 
 def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -> float:
-    """h(D) * log(eps_D) through either backend.
+    """h(D) * log(eps_D) through either route.
 
-    exact: class cycle count times the chakravala unit logarithm.
+    exact: class cycle count times the chakravala unit logarithm, the
+    oracle of the census weights.
     analytic: sqrt(D) * L(1, chi_D) by the class number formula, computed
-    through Cohen's erfc/E1 series; the table must reach isqrt(D) and
-    about 3.7 sqrt(D0) for the fundamental part D0 of D.
+    through Cohen's erfc/E1 series as the census does; the table must
+    reach isqrt(D) and about 3.7 sqrt(D0) for the fundamental part D0 of D.
     """
     if backend == "exact":
         tau, _ = fundamental_unit(D)
@@ -230,7 +236,7 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
 
 def run_census(config: RunConfig) -> CensusResult:
     """Run the census at every checkpoint in config.norm_bounds."""
-    table = build_spf_table(required_table_limit(config.norm_bounds[-1], config.backend))
+    table = build_spf_table(required_table_limit(config.norm_bounds[-1]))
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
     classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
     label_index = {c.label: i for i, c in enumerate(classes)}

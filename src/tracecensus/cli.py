@@ -60,13 +60,11 @@ def _series_doc(results) -> dict:
     cfg = results[0].config
     doc = {
         "format": "census_series",
-        "format_version": 2,
+        "format_version": 3,
         "package_version": __version__,
         "config": {
             "norm_bounds": list(cfg.norm_bounds),
             "workers": cfg.workers,
-            "backend": cfg.backend,
-            "delta_switch": cfg.delta_switch,
             "resolve_classes": cfg.resolve_classes,
         },
         "series": [],
@@ -132,16 +130,7 @@ def _cmd_census(args) -> int:
     if len(set(primes)) < len(primes):
         raise ValueError("repeated --p in %s" % ", ".join(map(str, primes)))
     xs = _checkpoint_grid(args.x, args.checkpoints)
-    results = []
-    for p in primes:
-        cfg = RunConfig(
-            p=p,
-            norm_bounds=xs,
-            workers=args.threads,
-            backend=args.backend,
-            delta_switch=args.delta_switch,
-        )
-        results.append(run_census(cfg))
+    results = [run_census(RunConfig(p=p, norm_bounds=xs, workers=args.threads)) for p in primes]
     if args.format == "csv":
         _write_text(args.out, _series_csv(results))
     else:
@@ -303,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("census", help="run the residue-mass census")
     sp.add_argument("--x", type=int, required=True, help="norm bound")
     sp.add_argument("--checkpoints", type=int, default=20, help="geometric grid points from 100 to x (default 20)")
-    sp.add_argument("--backend", choices=("exact", "analytic"), default="exact")
-    sp.add_argument("--delta-switch", type=int, default=10**6, help="analytic crossover discriminant (default 1e6)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--p", type=int, action="append", help="prime modulus, repeatable (default 5)")
     add_threads(sp)

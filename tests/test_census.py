@@ -10,6 +10,7 @@ from tracecensus import census, lfunctions
 from tracecensus.census import (
     CensusResult,
     RunConfig,
+    line_weight,
     matrix_from_form,
     required_table_limit,
     run_census,
@@ -17,7 +18,7 @@ from tracecensus.census import (
     trace_decompositions,
 )
 from tracecensus.numtheory import build_spf_table
-from tracecensus.quadforms import class_number_and_reps
+from tracecensus.quadforms import class_cycles, class_number_and_reps
 from tracecensus import sl2fp
 
 import oracles
@@ -193,34 +194,93 @@ def test_required_table_limit_covers_run():
 
 
 def test_required_table_limit_is_backend_free():
-    # the analytic backend needs no sieve to T^2 and has no upper cliff
+    # the L-value needs no sieve to T^2, so there is no upper cliff
     for x in (2500, 6 * 10**4, 4 * 10**8, 10**9):
         t = trace_bound(x)
         assert required_table_limit(x, "analytic") == required_table_limit(x) == max(4 * t + 16, 64)
 
 
 def test_line_ends_with_fundamental_splitting():
-    # the analytic backend reads D0 off the last (largest m) splitting
+    # the line weight reads D0 off the last (largest m) splitting
     for t in range(3, 1500):
         m0, d0 = trace_decompositions(t, TABLE)[-1]
         assert lfunctions.fundamental_part(d0, TABLE) == (d0, 1), t
         assert m0 * m0 * d0 == t * t - 4
 
 
+def _weight_by_cycles(t):
+    """Sum of h(D) * 2 log eps_D over the splittings of line t: cycles x units."""
+    return math.fsum(2.0 * line_weight(d) for _, d in trace_decompositions(t, TABLE))
+
+
+def test_every_line_weight_matches_cycles_times_units():
+    config = RunConfig(p=3, norm_bounds=(10**6,))
+    worst = 0.0
+    for t in range(3, trace_bound(10**6) + 1):
+        w, split = census._line_weight(config, TABLE, {}, t)
+        want = _weight_by_cycles(t)
+        worst = max(worst, abs(w - want) / want)
+        assert split == []
+    assert worst <= 1e-14
+
+
 @pytest.mark.parametrize("p", [3, 5])
-def test_analytic_backend_matches_exact(p):
+def test_census_matches_cycles_times_units(p):
     x = 10**5
-    exact = run_census(RunConfig(p=p, norm_bounds=(x,)))
-    analytic = run_census(RunConfig(p=p, norm_bounds=(x,), backend="analytic", delta_switch=10))
-    assert analytic.table_limit == exact.table_limit
-    np.testing.assert_allclose(analytic.psi, exact.psi, rtol=1e-13, atol=0)
+    res = run_census(RunConfig(p=p, norm_bounds=(x,)))
+    weights = {t: _weight_by_cycles(t) for t in range(3, trace_bound(x) + 1)}
+    want = [math.fsum(w for t, w in weights.items() if t % p == a) for a in range(p)]
+    np.testing.assert_allclose(res.psi[0], want, rtol=1e-14, atol=0)
 
 
-def test_analytic_backend_worker_count_does_not_change_bits():
-    kw = dict(p=5, norm_bounds=(3000, 20000), backend="analytic", delta_switch=50)
-    r1 = run_census(RunConfig(workers=1, **kw))
-    r2 = run_census(RunConfig(workers=2, **kw))
-    assert r1.psi.tobytes() == r2.psi.tobytes()
+def test_backend_fields_change_nothing():
+    kw = dict(p=5, norm_bounds=(3000, 20000), resolve_classes=True)
+    plain = run_census(RunConfig(**kw))
+    for backend, switch in (("analytic", 50), ("exact", 10)):
+        other = run_census(RunConfig(backend=backend, delta_switch=switch, **kw))
+        assert other.psi.tobytes() == plain.psi.tobytes()
+        assert other.class_psi.tobytes() == plain.class_psi.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_trace_alone_fixes_class_off_plus_minus_two(p):
+    # off t = +-2 (mod p) every form's matrix lies in the class of the
+    # companion matrix of x^2 - t x + 1
+    for t in range(3, 300):
+        if (t - 2) % p == 0 or (t + 2) % p == 0:
+            continue
+        want = sl2fp.classify((0, p - 1, 1, t % p), p)
+        for m, d in trace_decompositions(t, TABLE):
+            for cycle in class_cycles(d):
+                for form in cycle:
+                    mat = matrix_from_form(t, m, form)
+                    assert sl2fp.classify(mat, p) == want, (t, m, form)
+
+
+def test_forms_walked_only_on_plus_minus_two_lines(monkeypatch):
+    p, x = 3, 2 * 10**4
+    reps_calls, unit_lines = [], set()
+    real_reps, real_pell = census.class_number_and_reps, census.pell_from_known
+
+    def reps(d):
+        reps_calls.append(d)
+        return real_reps(d)
+
+    def pell(t, m, d):
+        unit_lines.add(t)
+        return real_pell(t, m, d)
+
+    monkeypatch.setattr(census, "class_number_and_reps", reps)
+    monkeypatch.setattr(census, "pell_from_known", pell)
+    lines = range(3, trace_bound(x) + 1)
+    walked = [t for t in lines if (t - 2) % p == 0 or (t + 2) % p == 0]
+    run_census(RunConfig(p=p, norm_bounds=(x,), resolve_classes=True))
+    assert reps_calls == [d for t in walked for _, d in trace_decompositions(t, TABLE)]
+    assert unit_lines == set(walked)
+    assert len(walked) <= 0.7 * len(lines)
+    reps_calls.clear()
+    run_census(RunConfig(p=p, norm_bounds=(x,)))
+    assert reps_calls == []
 
 
 def test_config_validation():
@@ -234,6 +294,10 @@ def test_config_validation():
         RunConfig(p=5, norm_bounds=(200, 100))
     with pytest.raises(ValueError):
         RunConfig(p=5, norm_bounds=(100,), workers=0)
+    with pytest.raises(ValueError):
+        RunConfig(p=5, norm_bounds=(100,), backend="digamma")
+    # every run takes the same route, so no backend refuses class resolution
+    RunConfig(p=5, norm_bounds=(100,), backend="analytic", resolve_classes=True)
     with pytest.raises(ValueError):
         trace_decompositions(2, TABLE)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tracecensus import census, cli
+from tracecensus import census, cli, lfunctions
 from tracecensus.analysis import density_error_series, error_exponent_fit
 from tracecensus.census import RunConfig, run_census
 from tracecensus.cli import CSV_HEADER, _checkpoint_grid, _load_error_series, main
@@ -68,7 +68,8 @@ def test_census_json_matches_schema(capsys, tmp_path):
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, load_schema())
     assert doc["format"] == "census_series"
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
+    assert set(doc["config"]) == {"norm_bounds", "workers", "resolve_classes"}
     series = doc["series"][0]
     assert series["p"] == 3
     xs = sorted({row["x"] for row in series["rows"]})
@@ -152,27 +153,52 @@ def test_fit_roundtrip(capsys, tmp_path):
     )
 
 
+def _plant_failure(monkeypatch, module, name, bad_arg):
+    real = getattr(module, name)
+
+    def failing(D, *rest):
+        if D == bad_arg:
+            raise ArithmeticError("planted failure")
+        return real(D, *rest)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+def _assert_fails_at_line(capsys, tmp_path, t, *argv):
+    out = tmp_path / "f"
+    code, text, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err == "error: trace line t=%d: planted failure\n" % t
+    assert text == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
-    real = census.class_number_and_reps
+    # D0 = 21 is first the fundamental discriminant of t = 5 (25 - 4 = 21)
+    _plant_failure(monkeypatch, lfunctions, "l_value", 21)
+    _assert_fails_at_line(capsys, tmp_path, 5,
+                          "census", "--x", "3000", "--p", "5", "--threads", str(threads))
 
-    def failing(D):
-        if D == 45:
-            raise ArithmeticError("planted failure")
-        return real(D)
 
-    # D = 45 first splits t^2 - 4 at t = 7 (49 - 4 = 45)
-    monkeypatch.setattr(census, "class_number_and_reps", failing)
-    out = tmp_path / "f"
-    code, text, err = run(
-        capsys, "census", "--x", "3000", "--p", "5", "--threads", str(threads), "--out", str(out),
-    )
-    assert code != 0
-    assert err == "error: trace line t=7: planted failure\n"
-    assert text == ""
-    assert not out.exists()
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_class_line_fails_by_class(capsys, tmp_path, monkeypatch, threads):
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched function reaches pool workers only when they fork")
+    # D = 45 first splits t^2 - 4 at t = 7 (49 - 4 = 45), and 7 = -2 (mod 3)
+    # is a line whose forms are classified
+    _plant_failure(monkeypatch, census, "class_number_and_reps", 45)
+    _assert_fails_at_line(capsys, tmp_path, 7,
+                          "by-class", "--x", "3000", "--p", "3", "--threads", str(threads))
+
+
+def test_removed_backend_options_are_usage_errors(capsys):
+    for opt in ("--backend=analytic", "--delta-switch=10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--x", "100", opt])
+        assert exc.value.code == 2
 
 
 def test_fit_insufficient_points(capsys, tmp_path):
