@@ -225,12 +225,21 @@ def test_every_line_weight_matches_cycles_times_units():
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_census_matches_cycles_times_units(p):
+def test_analytic_backend_matches_exact(p):
+    # a run that asks for the analytic backend matches the exact per-line
+    # oracle: sum of h(D) * 2 log eps_D over the splittings (cycles x units)
     x = 10**5
-    res = run_census(RunConfig(p=p, norm_bounds=(x,)))
+    res = run_census(RunConfig(p=p, norm_bounds=(x,), backend="analytic", delta_switch=10))
     weights = {t: _weight_by_cycles(t) for t in range(3, trace_bound(x) + 1)}
     want = [math.fsum(w for t, w in weights.items() if t % p == a) for a in range(p)]
     np.testing.assert_allclose(res.psi[0], want, rtol=1e-14, atol=0)
+
+
+def test_analytic_backend_worker_count_does_not_change_bits():
+    kw = dict(p=5, norm_bounds=(3000, 20000), backend="analytic", delta_switch=50)
+    r1 = run_census(RunConfig(workers=1, **kw))
+    r2 = run_census(RunConfig(workers=2, **kw))
+    assert r1.psi.tobytes() == r2.psi.tobytes()
 
 
 def test_backend_fields_change_nothing():
