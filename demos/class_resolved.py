@@ -1,9 +1,10 @@
 """Splitting the census by full conjugacy class instead of trace residue.
 
 Matrices with the same trace mod p can land in different classes when the
-trace is +-2 (central vs unipotent splits). This run classifies an actual
-integral representative of every counted class and compares each class's
-share against |class| / |G|.
+trace is +-2 (central vs unipotent splits). This run splits each such line
+by Gauss's genus character (a/p), which fixes how the classes of each
+discriminant fall between the central and unipotent classes, and compares
+each class's share against |class| / |G|.
 """
 
 from tracecensus import RunConfig, class_report, run_census

@@ -20,7 +20,6 @@ from .census import (
     CensusResult,
     RunConfig,
     line_weight,
-    matrix_from_form,
     required_table_limit,
     run_census,
     trace_bound,
@@ -73,7 +72,6 @@ __all__ = [
     "group_order",
     "kronecker",
     "line_weight",
-    "matrix_from_form",
     "pell_from_known",
     "predicted_density",
     "reduced_forms",

@@ -10,10 +10,10 @@ quantities whose limits the closed-form conjugacy masses predict.
 Every splitting of one line shares the fundamental discriminant D0 of
 t*t - 4, and h(D) * log(eps_D) = sqrt(D) * L(1, chi_D) is an exact integer
 Euler multiplier times sqrt(D0) * L(1, chi_D0).  So each line is weighed by
-one L-value (Cohen's series, O(sqrt(D0))).  Class resolution needs forms
-only where t = +-2 (mod p): on every other line t mod p alone fixes the
-SL2(F_p) class.  The exact route (class cycles times units) stays as the
-oracle, line_weight(D, backend="exact").
+one L-value (Cohen's series, O(sqrt(D0))), and its SL2(F_p) classes by
+t mod p, m and Gauss's genus character, with no forms walked.  The exact
+route (class cycles times units) stays as the oracle, line_weight(D,
+backend="exact").
 
 Each line's weight is a pure function of t, and run_census maps it over
 the trace range, serially or in a process pool.  The line weights are
@@ -27,20 +27,16 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .numtheory import SpfTable, build_spf_table, divisors_from_factorization, factorize
-from .quadforms import (
-    Form,
-    class_number,
-    class_number_and_reps,
-    fundamental_unit,
-    pell_from_known,
-    unit_log,
-)
+from .quadforms import class_number, fundamental_unit, unit_log
+# unused here, but the benchmark's traced pass rebinds them on this module
+from .quadforms import class_number_and_reps, pell_from_known  # noqa: F401
 from . import sl2fp
 
 
@@ -74,21 +70,6 @@ def trace_decompositions(t: int, table: SpfTable) -> list[tuple[int, int]]:
         if d & 3 in (0, 1):
             out.append((m, d))
     return out
-
-
-def matrix_from_form(t: int, m: int, form: Form) -> tuple[int, int, int, int]:
-    """Integer matrix of trace t fixing the scaled form m*(a,b,c).
-
-    Row-major (n11, n12, n21, n22) with determinant one.
-    """
-    a, b, c = form
-    aa, bb, cc = m * a, m * b, m * c
-    if (t - bb) % 2 != 0:
-        raise ValueError("trace %d and form %r have mismatched parity" % (t, form))
-    mat = ((t - bb) // 2, -cc, aa, (t + bb) // 2)
-    if mat[0] * mat[3] - mat[1] * mat[2] != 1:
-        raise RuntimeError("constructed matrix is not unimodular")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -146,18 +127,32 @@ class CensusResult:
         return 0.5 * (self.psi + self.psi[:, idx])
 
 
+def _splitting_classes(p: int, t: int, m: int, d0: int) -> tuple[sl2fp.Label, ...]:
+    """SL2(F_p) classes sharing equally the weight of splitting (m, D) of line t.
+
+    Off t = +-2 (mod p) that is the one class of trace t mod p.  On
+    t = 2s (mod p) the matrix fixing m*(a, b, c) is s(I + N) mod p, central
+    if p | m, else unipotent with chi = (-s m a / p), a a value of the form
+    prime to p.  The genus character (a/p) is trivial if D0 = p and else
+    +1 on half the classes (Cox, Primes of the Form x^2 + ny^2, section 3).
+    """
+    if (t - 2) % p and (t + 2) % p:
+        return (sl2fp.classify((0, p - 1, 1, t % p), p),)
+    s = 1 if (t - 2) % p == 0 else -1
+    gs = (1,) if p == 2 or d0 == p else (1, sl2fp._nonresidue(p))
+    return tuple(sl2fp.classify((s, 0, m * g, s), p) for g in gs)
+
+
 def _line_weight(config: RunConfig, table: SpfTable, label_index: dict,
                  t: int) -> tuple[float, list[float]]:
     """Weight of trace line t, and its split over the classes in label_index.
 
     Every splitting D = D0 * f^2 of the line shares D0, so the weight is
     2 sqrt(D0) L(1, chi_D0) times the sum of the splittings' exact Euler
-    multipliers: one L-value per line.  With classes, a line with
-    t != +-2 (mod p) goes whole to the class of the companion matrix of
-    x^2 - t x + 1, the only class of that trace; on the other lines each
-    class cycle adds its 2 log eps to the class of its matrix, in
-    ascending (m, form) order.  Any failure is raised again naming the
-    line, so a run never reports without it.
+    multipliers: one L-value per line.  With classes, each splitting's
+    share goes in equal parts to its _splitting_classes, summed per class
+    in integers first.  Any failure is raised again naming the line, so a
+    run never reports without it.
     """
     from . import lfunctions
 
@@ -165,22 +160,17 @@ def _line_weight(config: RunConfig, table: SpfTable, label_index: dict,
         splittings = trace_decompositions(t, table)
         # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the one with largest m
         m0, d0 = splittings[-1]
-        multiplier = sum(lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings)
-        w_line = 2.0 * multiplier * math.sqrt(d0) * lfunctions.l_value(d0, table)
-        split = [0.0] * len(label_index)
-        p = config.p
-        if label_index and (t - 2) % p and (t + 2) % p:
-            split[label_index[sl2fp.classify((0, p - 1, 1, t % p), p)]] = w_line
-        elif label_index:
-            for m, d in splittings:
-                _, reps = class_number_and_reps(d)
-                tau0, _ = pell_from_known(t, m, d)
-                logeps = unit_log(tau0)
-                for form in reps:
-                    mat = matrix_from_form(t, m, form)
-                    label = sl2fp.classify(tuple(v % p for v in mat), p)
-                    split[label_index[label]] += 2.0 * logeps
-        return w_line, split
+        mults = [lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings]
+        lval = lfunctions.l_value(d0, table)
+        w_line = 2.0 * sum(mults) * math.sqrt(d0) * lval
+        # twice each class's multiplier sum, so half shares stay integers
+        doubled = [0] * len(label_index)
+        if label_index:
+            for (m, _), mult in zip(splittings, mults):
+                labels = _splitting_classes(config.p, t, m, d0)
+                for label in labels:
+                    doubled[label_index[label]] += 2 * mult // len(labels)
+        return w_line, [n * math.sqrt(d0) * lval for n in doubled]
     except Exception as exc:
         raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
 
@@ -243,9 +233,14 @@ def run_census(config: RunConfig) -> CensusResult:
     weigh = functools.partial(_line_weight, config, table, label_index)
     lines = range(3, tbounds[-1] + 1)
     if config.workers > 1 and len(lines) > 1:
+        rows = []
         with ProcessPoolExecutor(max_workers=min(config.workers, len(lines))) as ex:
             chunk = max(1, len(lines) // (8 * config.workers))
-            rows = list(ex.map(weigh, lines, chunksize=chunk))
+            try:
+                rows.extend(ex.map(weigh, lines, chunksize=chunk))
+            except BrokenProcessPool as exc:
+                raise RuntimeError("trace lines t=%d..%d: a worker process died"
+                                   % (lines[len(rows)], lines[-1])) from exc
     else:
         rows = list(map(weigh, lines))
 

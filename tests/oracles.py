@@ -9,7 +9,9 @@ chi(n)/n up to a proven tail bound (l_value_truncated).  Two oracles start
 from the package's b-window scan, itself the oracle for class_cycles'
 root-lifted starts: scan_class_cycles partitions it with rho, and
 class_count_bfs into components under S, T and T^-1, knowing nothing of
-rho.  Keep these dumb.
+rho.  The class split of a trace line walks the package's class cycles
+and recovers each unit (class_split_by_cycles), knowing nothing of genus
+characters.  Keep these dumb.
 """
 
 import math
@@ -19,8 +21,18 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import digamma
 
+from tracecensus.census import trace_decompositions
 from tracecensus.numtheory import SpfTable, kronecker
-from tracecensus.quadforms import Form, reduced_forms, require_discriminant, rho
+from tracecensus.quadforms import (
+    Form,
+    class_number_and_reps,
+    pell_from_known,
+    reduced_forms,
+    require_discriminant,
+    rho,
+    unit_log,
+)
+from tracecensus.sl2fp import classify
 
 
 def scan_class_cycles(D):
@@ -50,6 +62,38 @@ def scan_class_cycles(D):
             f = rho(f, D)
         cycles.append(cycle)
     return cycles
+
+
+def matrix_from_form(t: int, m: int, form: Form) -> tuple[int, int, int, int]:
+    """Integer matrix of trace t fixing the scaled form m*(a,b,c).
+
+    Row-major (n11, n12, n21, n22) with determinant one.
+    """
+    a, b, c = form
+    aa, bb, cc = m * a, m * b, m * c
+    if (t - bb) % 2 != 0:
+        raise ValueError("trace %d and form %r have mismatched parity" % (t, form))
+    mat = ((t - bb) // 2, -cc, aa, (t + bb) // 2)
+    if mat[0] * mat[3] - mat[1] * mat[2] != 1:
+        raise RuntimeError("constructed matrix is not unimodular")
+    return mat
+
+
+def cycle_classes(t: int, m: int, d: int, p: int) -> list:
+    """SL2(F_p) class of the matrix fixing each class representative of (m, d)."""
+    _, reps = class_number_and_reps(d)
+    return [classify(tuple(v % p for v in matrix_from_form(t, m, form)), p) for form in reps]
+
+
+def class_split_by_cycles(t: int, p: int, label_index: dict, table: SpfTable) -> list[float]:
+    """Line t's weight per class: each class cycle adds its 2 log eps to its matrix's class."""
+    split = [0.0] * len(label_index)
+    for m, d in trace_decompositions(t, table):
+        tau0, _ = pell_from_known(t, m, d)
+        logeps = unit_log(tau0)
+        for label in cycle_classes(t, m, d, p):
+            split[label_index[label]] += 2.0 * logeps
+    return split
 
 
 def apply_sl2(form: Form, mat: tuple[int, int, int, int]) -> Form:

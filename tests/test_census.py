@@ -1,27 +1,29 @@
 import dataclasses
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecensus import census, lfunctions
+from tracecensus import census, lfunctions, quadforms
 from tracecensus.census import (
     CensusResult,
     RunConfig,
     line_weight,
-    matrix_from_form,
     required_table_limit,
     run_census,
     trace_bound,
     trace_decompositions,
 )
 from tracecensus.numtheory import build_spf_table
-from tracecensus.quadforms import class_cycles, class_number_and_reps
+from tracecensus.quadforms import class_number_and_reps
 from tracecensus import sl2fp
 
 import oracles
+from oracles import matrix_from_form
 
 TABLE = build_spf_table(6000)
 
@@ -251,45 +253,59 @@ def test_backend_fields_change_nothing():
         assert other.class_psi.tobytes() == plain.class_psi.tobytes()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_trace_alone_fixes_class_off_plus_minus_two(p):
-    # off t = +-2 (mod p) every form's matrix lies in the class of the
-    # companion matrix of x^2 - t x + 1
-    for t in range(3, 300):
-        if (t - 2) % p == 0 or (t + 2) % p == 0:
-            continue
-        want = sl2fp.classify((0, p - 1, 1, t % p), p)
-        for m, d in trace_decompositions(t, TABLE):
-            for cycle in class_cycles(d):
-                for form in cycle:
-                    mat = matrix_from_form(t, m, form)
-                    assert sl2fp.classify(mat, p) == want, (t, m, form)
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 29])
+def test_genus_rule_matches_cycle_walk(p):
+    # each splitting's weight spreads over its classes in the same exact
+    # shares as its class cycles do, on and off t = +-2 (mod p)
+    d0_is_p = set()
+    for t in range(3, 700):
+        splittings = trace_decompositions(t, TABLE)
+        d0 = splittings[-1][1]
+        if d0 == p:
+            d0_is_p.add(t)
+        for m, d in splittings:
+            labels = census._splitting_classes(p, t, m, d0)
+            got = {label: Fraction(n, len(labels)) for label, n in Counter(labels).items()}
+            walked = oracles.cycle_classes(t, m, d, p)
+            want = {label: Fraction(n, len(walked)) for label, n in Counter(walked).items()}
+            assert got == want, (t, m, d)
+    assert d0_is_p >= {5: {3, 7, 18, 47}, 13: {11}}.get(p, set())
 
 
-def test_forms_walked_only_on_plus_minus_two_lines(monkeypatch):
-    p, x = 3, 2 * 10**4
-    reps_calls, unit_lines = [], set()
-    real_reps, real_pell = census.class_number_and_reps, census.pell_from_known
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_class_share_matches_cycles_times_units(p):
+    config = RunConfig(p=p, norm_bounds=(10**6,), resolve_classes=True)
+    label_index = {c.label: i for i, c in enumerate(sl2fp.class_list(p))}
+    worst = 0.0
+    for t in range(3, trace_bound(10**6) + 1):
+        _, split = census._line_weight(config, TABLE, label_index, t)
+        want = oracles.class_split_by_cycles(t, p, label_index, TABLE)
+        for got, ref in zip(split, want):
+            assert (got == 0.0) == (ref == 0.0), t
+            worst = max(worst, abs(got - ref) / ref if ref else 0.0)
+    assert worst <= 1e-14
 
-    def reps(d):
-        reps_calls.append(d)
-        return real_reps(d)
 
-    def pell(t, m, d):
-        unit_lines.add(t)
-        return real_pell(t, m, d)
+def test_no_census_run_walks_forms_or_recovers_units(monkeypatch):
+    calls = []
 
-    monkeypatch.setattr(census, "class_number_and_reps", reps)
-    monkeypatch.setattr(census, "pell_from_known", pell)
-    lines = range(3, trace_bound(x) + 1)
-    walked = [t for t in lines if (t - 2) % p == 0 or (t + 2) % p == 0]
-    run_census(RunConfig(p=p, norm_bounds=(x,), resolve_classes=True))
-    assert reps_calls == [d for t in walked for _, d in trace_decompositions(t, TABLE)]
-    assert unit_lines == set(walked)
-    assert len(walked) <= 0.7 * len(lines)
-    reps_calls.clear()
-    run_census(RunConfig(p=p, norm_bounds=(x,)))
-    assert reps_calls == []
+    def record(name):
+        real = getattr(quadforms, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        return wrapper
+
+    for name in ("class_cycles", "class_number_and_reps", "pell_from_known"):
+        wrapper = record(name)
+        monkeypatch.setattr(quadforms, name, wrapper)
+        if hasattr(census, name):
+            monkeypatch.setattr(census, name, wrapper)
+    for resolve in (True, False):
+        run_census(RunConfig(p=3, norm_bounds=(2 * 10**4,), resolve_classes=resolve))
+    assert calls == []
 
 
 def test_config_validation():

@@ -1,11 +1,13 @@
 import json
 import multiprocessing
+import os
+import re
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from tracecensus import census, cli, lfunctions
+from tracecensus import census, cli, lfunctions, sl2fp
 from tracecensus.analysis import density_error_series, error_exponent_fit
 from tracecensus.census import RunConfig, run_census
 from tracecensus.cli import CSV_HEADER, _checkpoint_grid, _load_error_series, main
@@ -187,11 +189,32 @@ def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, threads
 def test_failing_class_line_fails_by_class(capsys, tmp_path, monkeypatch, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
-    # D = 45 first splits t^2 - 4 at t = 7 (49 - 4 = 45), and 7 = -2 (mod 3)
-    # is a line whose forms are classified
-    _plant_failure(monkeypatch, census, "class_number_and_reps", 45)
-    _assert_fails_at_line(capsys, tmp_path, 7,
+    # t = 4 = -2 (mod 3) is the first line split between classes; its one
+    # splitting (1, 12) is labelled from the matrix -(I + N), N = (0, 0, -1, 0)
+    _plant_failure(monkeypatch, sl2fp, "classify", (-1, 0, 1, -1))
+    _assert_fails_at_line(capsys, tmp_path, 4,
                           "by-class", "--x", "3000", "--p", "3", "--threads", str(threads))
+
+
+def test_dead_worker_names_lost_lines(capsys, tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched function reaches pool workers only when they fork")
+    real = census.trace_decompositions
+
+    def dying(t, table):
+        if t == 40:
+            os._exit(1)
+        return real(t, table)
+
+    monkeypatch.setattr(census, "trace_decompositions", dying)
+    out = tmp_path / "f"
+    code, text, err = run(capsys, "census", "--x", "3000", "--p", "5", "--threads", "2",
+                          "--out", str(out))
+    assert code == 1
+    lost = re.fullmatch(r"error: trace lines t=(\d+)\.\.(\d+): a worker process died\n", err)
+    assert lost and 3 <= int(lost[1]) <= 40 and int(lost[2]) == census.trace_bound(3000)
+    assert text == ""
+    assert not out.exists()
 
 
 def test_removed_backend_options_are_usage_errors(capsys):
