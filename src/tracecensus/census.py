@@ -15,17 +15,21 @@ t mod p, m and Gauss's genus character, with no forms walked.  The exact
 route (class cycles times units) stays as the oracle, line_weight(D,
 backend="exact").
 
-Each line's weight is a pure function of t, and run_census maps it over
-the trace range, serially or in a process pool.  The line weights are
-stored in a vector indexed by t and every residue mass is one math.fsum
-(Shewchuk's correctly rounded summation) over its lines, so results are
-bit-identical whatever the worker count or the chunking of the map.
+Each line's weight is a pure function of t.  run_census cuts the trace
+range into blocks of consecutive lines, weighs each block with one
+vectorised cohen_series pass over its lines' L-values, and maps the blocks
+serially or over a process pool.  The line weights are stored in a vector
+indexed by t and every residue mass is one math.fsum (Shewchuk's correctly
+rounded summation) over its lines, so results are bit-identical whatever
+the worker count or the blocks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -38,6 +42,9 @@ from .quadforms import class_number, fundamental_unit, unit_log
 # unused here, but the benchmark's traced pass rebinds them on this module
 from .quadforms import class_number_and_reps, pell_from_known  # noqa: F401
 from . import sl2fp
+
+# a block of trace lines holds at most this many (line, series term) slots
+BLOCK_ELEMENTS = 2**16
 
 
 def trace_bound(x: int) -> int:
@@ -143,36 +150,66 @@ def _splitting_classes(p: int, t: int, m: int, d0: int) -> tuple[sl2fp.Label, ..
     return tuple(sl2fp.classify((s, 0, m * g, s), p) for g in gs)
 
 
-def _line_weight(config: RunConfig, table: SpfTable, label_index: dict,
-                 t: int) -> tuple[float, list[float]]:
-    """Weight of trace line t, and its split over the classes in label_index.
+def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
+                 lines: range) -> list[tuple[float, list[float]]]:
+    """Weight of each trace line in lines, and its split over label_index.
 
-    Every splitting D = D0 * f^2 of the line shares D0, so the weight is
+    Every splitting D = D0 * f^2 of a line shares D0, so the weight is
     2 sqrt(D0) L(1, chi_D0) times the sum of the splittings' exact Euler
-    multipliers: one L-value per line.  With classes, each splitting's
-    share goes in equal parts to its _splitting_classes, summed per class
-    in integers first.  Any failure is raised again naming the line, so a
-    run never reports without it.
+    multipliers: one L-value per line, all of a block's in one
+    cohen_series pass.  With classes, each splitting's share goes in equal
+    parts to its _splitting_classes, summed per class in integers first.
+    A failure is raised again naming its line, or the block's lines if it
+    is in the shared series pass, so a run never reports without them.
     """
     from . import lfunctions
 
+    parts = []
+    for t in lines:
+        try:
+            splittings = trace_decompositions(t, table)
+            # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the one with largest m
+            m0, d0 = splittings[-1]
+            mults = [lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings]
+            # twice each class's multiplier sum, so half shares stay integers
+            doubled = [0] * len(label_index)
+            if label_index:
+                for (m, _), mult in zip(splittings, mults):
+                    labels = _splitting_classes(config.p, t, m, d0)
+                    for label in labels:
+                        doubled[label_index[label]] += 2 * mult // len(labels)
+        except Exception as exc:
+            raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
+        parts.append((d0, sum(mults), doubled))
     try:
-        splittings = trace_decompositions(t, table)
-        # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the one with largest m
-        m0, d0 = splittings[-1]
-        mults = [lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings]
-        lval = lfunctions.l_value(d0, table)
-        w_line = 2.0 * sum(mults) * math.sqrt(d0) * lval
-        # twice each class's multiplier sum, so half shares stay integers
-        doubled = [0] * len(label_index)
-        if label_index:
-            for (m, _), mult in zip(splittings, mults):
-                labels = _splitting_classes(config.p, t, m, d0)
-                for label in labels:
-                    doubled[label_index[label]] += 2 * mult // len(labels)
-        return w_line, [n * math.sqrt(d0) * lval for n in doubled]
+        series = lfunctions.cohen_series([d0 for d0, _, _ in parts], table)
     except Exception as exc:
-        raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
+        raise RuntimeError("trace lines t=%d..%d: %s" % (lines[0], lines[-1], exc)) from exc
+    rows = []
+    for (d0, mult, doubled), value in zip(parts, series):
+        root = math.sqrt(d0)
+        lval = value / root  # L(1, chi_D0) rounded as l_value(d0) rounds it
+        rows.append((2.0 * mult * root * lval, [n * root * lval for n in doubled]))
+    return rows
+
+
+def _blocks(t_max: int) -> list[range]:
+    """Consecutive trace lines 3..t_max cut into blocks for cohen_series.
+
+    A block grows while its lines times the longest series any of them can
+    need, series_length(t*t - 4), stay within BLOCK_ELEMENTS; a line that
+    alone exceeds it is a block of one.
+    """
+    from .lfunctions import series_length
+
+    blocks, start = [], 3
+    for t in range(4, t_max + 1):
+        if (t - start + 1) * series_length(t * t - 4) > BLOCK_ELEMENTS:
+            blocks.append(range(start, t))
+            start = t
+    if start <= t_max:
+        blocks.append(range(start, t_max + 1))
+    return blocks
 
 
 def _reduce(rows: Sequence[tuple[float, list[float]]], tbounds: Sequence[int], p: int,
@@ -224,25 +261,46 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
     raise ValueError("unknown backend %r" % backend)
 
 
+def _ignore_interrupt() -> None:
+    """Pool worker set-up: Ctrl-C is the parent's, which cancels the blocks."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def run_census(config: RunConfig) -> CensusResult:
-    """Run the census at every checkpoint in config.norm_bounds."""
+    """Run the census at every checkpoint in config.norm_bounds.
+
+    The trace lines go in blocks to a process pool of at most workers, block
+    count and CPU count processes when workers > 1, else in turn in this
+    process.  A worker that dies raises RuntimeError and KeyboardInterrupt
+    cancels the pending blocks; both name the lines not weighed.
+    """
     table = build_spf_table(required_table_limit(config.norm_bounds[-1]))
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
     classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
     label_index = {c.label: i for i, c in enumerate(classes)}
-    weigh = functools.partial(_line_weight, config, table, label_index)
-    lines = range(3, tbounds[-1] + 1)
-    if config.workers > 1 and len(lines) > 1:
-        rows = []
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(lines))) as ex:
-            chunk = max(1, len(lines) // (8 * config.workers))
-            try:
-                rows.extend(ex.map(weigh, lines, chunksize=chunk))
-            except BrokenProcessPool as exc:
-                raise RuntimeError("trace lines t=%d..%d: a worker process died"
-                                   % (lines[len(rows)], lines[-1])) from exc
-    else:
-        rows = list(map(weigh, lines))
+    weigh = functools.partial(_weigh_block, config, table, label_index)
+    blocks = _blocks(tbounds[-1])
+    rows: list[tuple[float, list[float]]] = []
+    pool = None
+    try:
+        if config.workers > 1 and blocks:
+            procs = min(config.workers, len(blocks), len(os.sched_getaffinity(0)))
+            pool = ProcessPoolExecutor(max_workers=procs, initializer=_ignore_interrupt)
+            # every task carries the table, so the blocks go in a few chunks
+            results = pool.map(weigh, blocks, chunksize=max(1, len(blocks) // (8 * procs)))
+        else:
+            results = map(weigh, blocks)
+        for block_rows in results:
+            rows.extend(block_rows)
+    except BrokenProcessPool as exc:
+        raise RuntimeError("trace lines t=%d..%d: a worker process died"
+                           % (3 + len(rows), tbounds[-1])) from exc
+    except KeyboardInterrupt as exc:
+        raise KeyboardInterrupt("trace lines t=%d..%d were not weighed"
+                                % (3 + len(rows), tbounds[-1])) from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     psi, cls = _reduce(rows, tbounds, config.p, len(classes))
     labels = tuple(c.label for c in classes) if classes else None

@@ -5,7 +5,8 @@ by-class (class-resolved census), fit (error exponent from a stored
 series), psi (totals only).
 
 Exit codes: 0 success, 1 a failing trace line (named in one error line,
-with no report written), 2 usage or argument error.
+with no report written), 2 usage or argument error, 130 interrupted by
+Ctrl-C (the unfinished trace lines named in one line, no report written).
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def _cmd_fit(args) -> int:
     if not points_by_p:
         print("no usable rows in %s" % args.infile, file=sys.stderr)
         return 2
+    missing = sorted(set(args.p or ()) - set(points_by_p))
+    if missing:
+        raise ValueError("%s has no rows for p=%s" % (args.infile, ",".join(map(str, missing))))
     buf = io.StringIO()
     for p in sorted(points_by_p):
         if args.p and p not in args.p:
@@ -341,6 +345,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print("interrupted: %s" % exc if str(exc) else "interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

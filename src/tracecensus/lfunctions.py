@@ -1,8 +1,8 @@
 """Dirichlet L-values at s = 1 for real quadratic characters kronecker(D, .).
 
-l_value evaluates Cohen's rapidly converging series (H. Cohen, A Course in
-Computational Algebraic Number Theory, GTM 138, section 5.6): for a
-fundamental discriminant D0 > 0,
+cohen_series evaluates Cohen's rapidly converging series (H. Cohen, A
+Course in Computational Algebraic Number Theory, GTM 138, section 5.6): for
+a fundamental discriminant D0 > 0,
 
     sqrt(D0) * L(1, chi_D0)
         = sum_{n >= 1} chi_D0(n) * (sqrt(D0)/n * erfc(n sqrt(pi/D0)) + E1(pi n^2/D0)),
@@ -13,8 +13,10 @@ fundamental part only by the Euler factors at the primes of f, so
 
     sqrt(D) * L(1, chi_D) = euler_multiplier(D0, f) * sqrt(D0) * L(1, chi_D0)
 
-with an exact integer multiplier.  The tests keep the digamma sum over a
-whole period and direct partial sums as oracles.
+with an exact integer multiplier.  cohen_series weighs a whole block of
+fundamental discriminants in one vectorised pass, and l_value is its block
+of one.  The tests keep the digamma sum over a whole period and direct
+partial sums as oracles.
 """
 
 from __future__ import annotations
@@ -98,54 +100,85 @@ def tail_bound(D0: int, n: int) -> float:
     return 2.0 * math.exp(-y) / (y * ratio)
 
 
-def chi_prefix(D0: int, n: int, table: SpfTable) -> np.ndarray:
-    """kronecker(D0, k) for k = 0 .. n as an int8 array, D0 fundamental.
+def chi_columns(d0s: list[int], lengths: list[int], table: SpfTable) -> np.ndarray:
+    """kronecker(D0, k) for k = 0 .. max(lengths), one int8 column per fundamental D0.
 
-    Euler's criterion at the odd primes, vectorised in int64 (q^2 < 2^63
-    for every table prime), then complete multiplicativity through the
-    smallest prime factor in doubling blocks: every k in [b, 2b) has
-    k // spf(k) < b, so each block reads only finished entries.
+    Column i is zero past lengths[i].  Euler's criterion at the odd primes
+    for every column at once, vectorised in int64 (q^2 < 2^63 for every
+    table prime), then complete multiplicativity through the smallest prime
+    factor in doubling blocks: every k in [b, 2b) has k // spf(k) < b, so
+    each block reads only finished rows.
     """
+    n = max(lengths)
     if table.limit < n:
         raise ValueError(
-            "spf table limit %d too small for the %d series terms of D0=%d" % (table.limit, n, D0)
+            "spf table limit %d too small for the %d series terms of D0=%d"
+            % (table.limit, n, d0s[lengths.index(n)])
         )
-    chi = np.zeros(n + 1, dtype=np.int8)
+    chi = np.zeros((n + 1, len(d0s)), dtype=np.int8)
     chi[1] = 1
     primes = table.primes
-    q = primes[: np.searchsorted(primes, n, side="right")]
-    odd = q[1:]
-    base = D0 % odd
-    exp = (odd - 1) // 2
-    res = np.ones_like(odd)
-    while exp.any():
-        res = np.where(exp & 1, res * base % odd, res)
-        base = base * base % odd
-        exp >>= 1
-    chi[odd] = np.where(res == odd - 1, -1, res)
-    chi[2] = kronecker(D0, 2)
-    spf = table.spf
+    odd = primes[1 : np.searchsorted(primes, n, side="right")]
+    q = odd[:, None]
+    base = np.array(d0s, dtype=np.int64) % q
+    exp = (q - 1) // 2
+    res = np.ones_like(base)
+    for j in range(int(exp[-1, 0]).bit_length()):
+        res = np.where(exp >> j & 1, res * base % q, res)
+        base = base * base % q
+    chi[odd] = np.where(res == q - 1, -1, res)
+    chi[2] = [kronecker(d0, 2) for d0 in d0s]
+    # chi(k) = chi(spf(k)) * chi(k // spf(k)), offset by 2
+    k = np.arange(2, n + 1)
+    s = table.spf[2 : n + 1]
+    r = k // s
     b = 2
     while b <= n:
-        k = np.arange(b, min(2 * b, n + 1))
-        s = spf[k]
-        chi[k] = chi[s] * chi[k // s]
+        end = min(2 * b, n + 1)
+        chi[b:end] = chi.take(s[b - 2 : end - 2], axis=0) * chi.take(r[b - 2 : end - 2], axis=0)
         b *= 2
+    for i, m in enumerate(lengths):
+        chi[m + 1 :, i] = 0
     return chi
+
+
+def cohen_series(d0s: list[int], table: SpfTable) -> list[float]:
+    """sqrt(D0) * L(1, chi_D0) for each fundamental D0 in d0s.
+
+    One pass for the whole block: the character columns up to each D0's
+    series_length, erfc and E1 over every nonzero term at once, and one
+    math.fsum per D0.  A term is the same floating-point expression
+    whatever block it is computed in, so each value is bit-identical to a
+    block of one.  The table must reach every series_length(D0).
+    """
+    chi = chi_columns(d0s, [series_length(d0) for d0 in d0s], table)
+    # the nonzero terms grouped by D0, k ascending within each
+    flat = np.ascontiguousarray(chi.T).ravel()
+    (at,) = np.nonzero(flat)
+    col, k = np.divmod(at, len(chi))
+    kf = k.astype(np.float64)
+    d = np.array(d0s, dtype=np.float64)[col]
+    # chi * (sqrt(D0) / k * erfc(k sqrt(pi / D0)) + E1(pi k k / D0)) with
+    # each operation as in the formula, computed in place to keep the peak
+    # memory of a block low
+    terms = np.sqrt(d) / kf
+    terms *= erfc(kf * np.sqrt(math.pi / d))
+    y = math.pi * kf
+    y *= kf
+    y /= d
+    terms += exp1(y)
+    terms *= flat[at]
+    ends = np.searchsorted(col, np.arange(len(d0s) + 1)).tolist()
+    return [math.fsum(terms[a:b].tolist()) for a, b in zip(ends, ends[1:])]
 
 
 def l_value(D: int, table: SpfTable) -> float:
     """L(1, chi_D) for any positive nonsquare discriminant D.
 
-    Cohen's series for the fundamental part D0, summed with math.fsum over
-    n <= series_length(D0), times the exact Euler multiplier of the
-    conductor f.  The table must reach isqrt(D) and series_length(D0).
+    Cohen's series for the fundamental part D0 (a block of one), times the
+    exact Euler multiplier of the conductor f.  The table must reach
+    isqrt(D) and series_length(D0).
     """
     D0, f = fundamental_part(D, table)
-    chi = chi_prefix(D0, series_length(D0), table)
-    k = np.nonzero(chi)[0]
-    kf = k.astype(np.float64)
-    root = math.sqrt(D0)
-    terms = chi[k] * (root / kf * erfc(kf * math.sqrt(math.pi / D0)) + exp1(math.pi * kf * kf / D0))
-    series = math.fsum(terms.tolist())
+    (series,) = cohen_series([D0], table)
     return euler_multiplier(D0, f, table) * series / math.sqrt(D)

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,7 +158,7 @@ def test_lines_in_any_order_give_identical_bits(x, p, resolve, data):
     classes = sl2fp.class_list(p) if resolve else ()
     label_index = {c.label: i for i, c in enumerate(classes)}
     order = data.draw(st.permutations(range(3, tbounds[-1] + 1)))
-    rows = {t: census._line_weight(config, TABLE, label_index, t) for t in order}
+    rows = {t: census._weigh_block(config, TABLE, label_index, range(t, t + 1))[0] for t in order}
     psi, cls = census._reduce([rows[t] for t in sorted(rows)], tbounds, p, len(classes))
     for workers in (1, 2, 3):
         res = run_census(dataclasses.replace(config, workers=workers))
@@ -162,6 +166,113 @@ def test_lines_in_any_order_give_identical_bits(x, p, resolve, data):
         assert psi.tobytes() == res.psi.tobytes()
         if resolve:
             assert cls.tobytes() == res.class_psi.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    x=st.integers(1, 3 * 10**4),
+    p=st.sampled_from([2, 3, 5, 7]),
+    resolve=st.booleans(),
+    budget=st.sampled_from([1, 500, 5000, 2**16, 10**12]),
+)
+def test_results_do_not_depend_on_blocks_or_workers(x, p, resolve, budget):
+    # budget 1 makes every line its own block and 10**12 puts the whole run
+    # in one block; the pooled run sees the same blocks
+    config = RunConfig(p=p, norm_bounds=tuple(sorted({max(1, x // 7), x})), resolve_classes=resolve)
+    want = run_census(config)
+    with mock.patch.object(census, "BLOCK_ELEMENTS", budget):
+        blocks = census._blocks(want.trace_bounds[-1])
+        assert [t for block in blocks for t in block] == list(range(3, want.trace_bounds[-1] + 1))
+        if budget == 1:
+            assert all(len(block) == 1 for block in blocks)
+        if budget == 10**12:
+            assert len(blocks) <= 1
+        for workers in (1, 2):
+            got = run_census(dataclasses.replace(config, workers=workers))
+            assert got.psi.tobytes() == want.psi.tobytes()
+            if resolve:
+                assert got.class_psi.tobytes() == want.class_psi.tobytes()
+
+
+def test_block_series_is_bitwise_l_value_on_every_line_to_1e6():
+    # and every line weight is 2 n sqrt(D0) L(1, chi_D0) with L the one-row
+    # l_value, n the splittings' Euler multiplier sum, rounded in that order
+    config = RunConfig(p=3, norm_bounds=(10**6,))
+    blocks = census._blocks(trace_bound(10**6))
+    assert len(blocks) > 1
+    for block in blocks:
+        splittings = {t: trace_decompositions(t, TABLE) for t in block}
+        d0 = {t: s[-1][1] for t, s in splittings.items()}
+        series = lfunctions.cohen_series([d0[t] for t in block], TABLE)
+        rows = census._weigh_block(config, TABLE, {}, block)
+        for t, value, (w, _) in zip(block, series, rows):
+            lval = lfunctions.l_value(d0[t], TABLE)
+            assert (value / math.sqrt(d0[t])).hex() == lval.hex(), t
+            m0 = splittings[t][-1][0]
+            n = sum(lfunctions.euler_multiplier(d0[t], m0 // m, TABLE) for m, _ in splittings[t])
+            assert w.hex() == (2.0 * n * math.sqrt(d0[t]) * lval).hex(), t
+
+
+class _StubPool:
+    """Stands in for ProcessPoolExecutor: records how it was made and used,
+    and weighs the blocks in this process, or interrupts after the first."""
+
+    made: list = []
+    interrupt = False
+
+    def __init__(self, max_workers, **kwargs):
+        self.max_workers = max_workers
+        self.kwargs = kwargs
+        self.cancelled = None
+        _StubPool.made.append(self)
+
+    def map(self, fn, blocks, chunksize=1):
+        for block in blocks:
+            yield fn(block)
+            if self.interrupt:
+                raise KeyboardInterrupt
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.cancelled = cancel_futures
+
+
+@pytest.fixture
+def stub_pool(monkeypatch):
+    monkeypatch.setattr(_StubPool, "made", [])
+    monkeypatch.setattr(_StubPool, "interrupt", False)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", _StubPool)
+    return _StubPool
+
+
+def test_pool_never_exceeds_blocks_or_cpus(stub_pool):
+    # x = 10**4 is one block: a single process, however many are asked for
+    serial = run_census(RunConfig(p=5, norm_bounds=(10**4,)))
+    pooled = run_census(RunConfig(p=5, norm_bounds=(10**4,), workers=8))
+    assert pooled.psi.tobytes() == serial.psi.tobytes()
+    assert [pool.max_workers for pool in stub_pool.made] == [1]
+    # x = 10**9 has about 25 000 blocks, so the CPU count caps the pool; the
+    # stub stops after one block and nothing else is weighed
+    stub_pool.interrupt = True
+    with pytest.raises(KeyboardInterrupt, match=r"^trace lines t=135\.\.31622 were not weighed$"):
+        run_census(RunConfig(p=5, norm_bounds=(10**9,), workers=100000))
+    pool = stub_pool.made[-1]
+    assert pool.max_workers == len(os.sched_getaffinity(0))
+    assert pool.cancelled is True
+    assert pool.kwargs == {"initializer": census._ignore_interrupt}
+
+
+def test_pool_workers_leave_ctrl_c_to_the_parent(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched function reaches pool workers only when they fork")
+    real = census.trace_decompositions
+
+    def checked(t, table):
+        if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+            raise AssertionError("a pool worker would take Ctrl-C")
+        return real(t, table)
+
+    monkeypatch.setattr(census, "trace_decompositions", checked)
+    run_census(RunConfig(p=3, norm_bounds=(10**5,), workers=2))
 
 
 def test_class_resolution_consistency():
@@ -215,11 +326,16 @@ def _weight_by_cycles(t):
     return math.fsum(2.0 * line_weight(d) for _, d in trace_decompositions(t, TABLE))
 
 
+def _weighed_lines(config, label_index):
+    """(t, row) for every line up to the last bound, weighed block by block."""
+    for block in census._blocks(trace_bound(config.norm_bounds[-1])):
+        yield from zip(block, census._weigh_block(config, TABLE, label_index, block))
+
+
 def test_every_line_weight_matches_cycles_times_units():
     config = RunConfig(p=3, norm_bounds=(10**6,))
     worst = 0.0
-    for t in range(3, trace_bound(10**6) + 1):
-        w, split = census._line_weight(config, TABLE, {}, t)
+    for t, (w, split) in _weighed_lines(config, {}):
         want = _weight_by_cycles(t)
         worst = max(worst, abs(w - want) / want)
         assert split == []
@@ -277,8 +393,7 @@ def test_every_class_share_matches_cycles_times_units(p):
     config = RunConfig(p=p, norm_bounds=(10**6,), resolve_classes=True)
     label_index = {c.label: i for i, c in enumerate(sl2fp.class_list(p))}
     worst = 0.0
-    for t in range(3, trace_bound(10**6) + 1):
-        _, split = census._line_weight(config, TABLE, label_index, t)
+    for t, (_, split) in _weighed_lines(config, label_index):
         want = oracles.class_split_by_cycles(t, p, label_index, TABLE)
         for got, ref in zip(split, want):
             assert (got == 0.0) == (ref == 0.0), t

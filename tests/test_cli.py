@@ -179,8 +179,9 @@ def _assert_fails_at_line(capsys, tmp_path, t, *argv):
 def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
-    # D0 = 21 is first the fundamental discriminant of t = 5 (25 - 4 = 21)
-    _plant_failure(monkeypatch, lfunctions, "l_value", 21)
+    # D0 = 21 is first the fundamental discriminant of t = 5 (25 - 4 = 21),
+    # whose splittings' Euler multipliers are a per-line step
+    _plant_failure(monkeypatch, lfunctions, "euler_multiplier", 21)
     _assert_fails_at_line(capsys, tmp_path, 5,
                           "census", "--x", "3000", "--p", "5", "--threads", str(threads))
 
@@ -215,6 +216,45 @@ def test_dead_worker_names_lost_lines(capsys, tmp_path, monkeypatch):
     assert lost and 3 <= int(lost[1]) <= 40 and int(lost[2]) == census.trace_bound(3000)
     assert text == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ctrl_c_names_unfinished_lines_and_writes_nothing(capsys, tmp_path, monkeypatch, threads):
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched function reaches pool workers only when they fork")
+    real = census.trace_decompositions
+
+    def interrupted(t, table):
+        if t == 200:
+            raise KeyboardInterrupt
+        return real(t, table)
+
+    monkeypatch.setattr(census, "trace_decompositions", interrupted)
+    # x = 1e5 is the blocks 3..134, 135..215, 216..278 and 279..316, so the
+    # block holding t = 200 and every later one are lost
+    assert [b[0] for b in census._blocks(census.trace_bound(10**5))] == [3, 135, 216, 279]
+    out = tmp_path / "f"
+    code, text, err = run(capsys, "census", "--x", "100000", "--p", "5", "--threads", str(threads),
+                          "--out", str(out))
+    assert code == 130
+    assert err == "interrupted: trace lines t=135..316 were not weighed\n"
+    assert text == ""
+    assert not out.exists()
+
+
+def test_fit_names_primes_missing_from_the_report(capsys, tmp_path):
+    out = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "census", "--x", "5000", "--p", "3", "--p", "5", "--checkpoints", "8",
+                     "--out", str(out))
+    assert code == 0
+    for primes, missing in ((["11"], "11"), (["3", "13", "11"], "11,13")):
+        argv = [arg for p in primes for arg in ("--p", p)]
+        code, text, err = run(capsys, "fit", "--in", str(out), *argv)
+        assert code == 2
+        assert err == "error: %s has no rows for p=%s\n" % (out, missing)
+        assert text == ""
+    code, text, _ = run(capsys, "fit", "--in", str(out), "--p", "5")
+    assert code == 0 and text.startswith("p=5")
 
 
 def test_removed_backend_options_are_usage_errors(capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from tracecensus.lfunctions import (
     TAIL_REL,
-    chi_prefix,
+    chi_columns,
+    cohen_series,
     euler_multiplier,
     fundamental_part,
     l_value,
@@ -67,13 +68,37 @@ def test_chi_period_sum_vanishes(D):
     assert int(chi_values(D, TABLE).astype(np.int64).sum()) == 0
 
 
-@pytest.mark.parametrize("D0", [5, 8, 12, 13, 21, 24, 28, 40, 221, 1005, 1724, 19996, 19997])
+PREFIX_D0 = [5, 8, 12, 13, 21, 24, 28, 40, 221, 1005, 1724, 19996, 19997]
+
+
+@pytest.mark.parametrize("D0", PREFIX_D0)
 def test_chi_prefix_matches_kronecker_pointwise(D0):
     assert is_fundamental(D0)
     n = series_length(D0)
-    chi = chi_prefix(D0, n, BIG)
-    assert len(chi) == n + 1
-    assert [int(v) for v in chi] == [kronecker(D0, k) for k in range(n + 1)]
+    chi = chi_columns([D0], [n], BIG)
+    assert chi.shape == (n + 1, 1)
+    assert [int(v) for v in chi[:, 0]] == [kronecker(D0, k) for k in range(n + 1)]
+
+
+def test_chi_columns_stop_at_their_own_length():
+    lengths = [series_length(D0) for D0 in PREFIX_D0]
+    chi = chi_columns(PREFIX_D0, lengths, BIG)
+    assert chi.shape == (max(lengths) + 1, len(PREFIX_D0))
+    for i, (D0, n) in enumerate(zip(PREFIX_D0, lengths)):
+        want = [kronecker(D0, k) if k <= n else 0 for k in range(len(chi))]
+        assert [int(v) for v in chi[:, i]] == want, D0
+
+
+@settings(max_examples=40, deadline=None)
+@given(d0s=st.lists(st.sampled_from(FUNDAMENTAL), min_size=1, max_size=12))
+def test_cohen_series_block_is_bitwise_its_blocks_of_one(d0s):
+    # a value does not depend on the block it is computed in, nor on its
+    # place there, and the block of one is l_value's series
+    block = cohen_series(d0s, BIG)
+    for D0, value in zip(d0s, block):
+        (alone,) = cohen_series([D0], BIG)
+        assert value.hex() == alone.hex(), D0
+        assert (value / math.sqrt(D0)).hex() == l_value(D0, BIG).hex(), D0
 
 
 def test_fundamental_part_pinned():
