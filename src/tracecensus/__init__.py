@@ -25,9 +25,6 @@ from .census import (
     trace_bound,
     trace_decompositions,
 )
-# census imports lfunctions (and with it scipy.special) only when it weighs a
-# line; loading it here, after census, keeps a cold start about 30 ms shorter
-# on a 2-vCPU VM than loading it from inside census
 from . import lfunctions  # noqa: F401
 from .numtheory import SpfTable, build_spf_table, factorize, kronecker
 from .quadforms import (

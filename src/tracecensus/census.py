@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import lfunctions
 from .numtheory import SpfTable, build_spf_table, divisors_from_factorization, factorize
 from .quadforms import class_number, fundamental_unit, unit_log
 # unused here, but the benchmark's traced pass rebinds them on this module
@@ -162,8 +163,6 @@ def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
     A failure is raised again naming its line, or the block's lines if it
     is in the shared series pass, so a run never reports without them.
     """
-    from . import lfunctions
-
     parts = []
     for t in lines:
         try:
@@ -200,11 +199,9 @@ def _blocks(t_max: int) -> list[range]:
     need, series_length(t*t - 4), stay within BLOCK_ELEMENTS; a line that
     alone exceeds it is a block of one.
     """
-    from .lfunctions import series_length
-
     blocks, start = [], 3
     for t in range(4, t_max + 1):
-        if (t - start + 1) * series_length(t * t - 4) > BLOCK_ELEMENTS:
+        if (t - start + 1) * lfunctions.series_length(t * t - 4) > BLOCK_ELEMENTS:
             blocks.append(range(start, t))
             start = t
     if start <= t_max:
@@ -255,8 +252,6 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
     if backend == "analytic":
         if table is None:
             raise ValueError("the analytic backend needs an spf table")
-        from . import lfunctions
-
         return math.sqrt(D) * lfunctions.l_value(D, table)
     raise ValueError("unknown backend %r" % backend)
 

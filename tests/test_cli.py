@@ -2,7 +2,10 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -294,6 +297,24 @@ def test_nonprime_modulus_is_usage_error(capsys):
     code, _, err = run(capsys, "census", "--x", "100", "--p", "6")
     assert code == 2
     assert "prime" in err
+
+
+def test_census_runs_without_scipy():
+    # scipy is a test dependency only; a fresh interpreter running a census
+    # must not load any of it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, tracecensus.cli\n"
+        "assert tracecensus.cli.main(['census', '--x', '1000']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("x,p,a,")
+    assert proc.stderr.strip() == "[]"
 
 
 def test_missing_required_argument_exits_two(capsys):

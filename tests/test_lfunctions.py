@@ -7,9 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tracecensus import lfunctions
 from tracecensus.lfunctions import (
+    G_END,
+    G_PIECES,
     TAIL_REL,
     chi_columns,
+    cohen_g,
     cohen_series,
     euler_multiplier,
     fundamental_part,
@@ -20,6 +24,7 @@ from tracecensus.lfunctions import (
 from tracecensus.numtheory import build_spf_table, kronecker
 from tracecensus.census import line_weight
 
+from make_g_table import g_exact, g_table
 from oracles import chi_values, l_value_digamma, l_value_truncated
 
 TABLE = build_spf_table(3000)
@@ -99,6 +104,46 @@ def test_cohen_series_block_is_bitwise_its_blocks_of_one(d0s):
         (alone,) = cohen_series([D0], BIG)
         assert value.hex() == alone.hex(), D0
         assert (value / math.sqrt(D0)).hex() == l_value(D0, BIG).hex(), D0
+
+
+def test_g_table_regenerates_bit_for_bit():
+    want = g_table()
+    assert len(want) == len(G_PIECES)
+    for i, (row, want_row) in enumerate(zip(G_PIECES, want)):
+        assert [c.hex() for c in row] == [c.hex() for c in want_row], i
+
+
+def test_cohen_g_matches_mpmath_on_a_dense_grid():
+    # every piece boundary and just below it (G_SPLIT among them), points
+    # between them, and u down to 1/sqrt(10^18), the first term at D0 = 10^18
+    u = np.concatenate([
+        np.geomspace(1e-9, 1 / 16, 300),
+        np.arange(1, 4 * 1024 + 512) / 1024,
+        np.arange(8, 72) / 16 - 2.0**-50,
+        [np.nextafter(G_END, 0.0)],
+    ])
+    u.sort()
+    got = cohen_g(u)
+    with mpmath.workdps(30):
+        rel = np.array([float(abs(g - w) / w) for g, w in zip(got.tolist(), map(g_exact, u.tolist()))])
+    assert rel[u < 2].max() <= 3e-15
+    assert rel[u >= 2].max() <= 2e-14
+    # the block can be any size: the first and last values come out alone
+    assert cohen_g(u[:1]).tolist() == got[:1].tolist()
+    assert cohen_g(u[-1:]).tolist() == got[-1:].tolist()
+
+
+def test_series_past_the_g_table_raises_naming_d0(monkeypatch):
+    # every real series stops below u = 4.1; a longer one must not be
+    # clamped or extrapolated
+    assert all(series_length(d0) / math.sqrt(d0) < 4.1 for d0 in FUNDAMENTAL)
+
+    def longer(d0):
+        return math.ceil(G_END * math.sqrt(d0)) if d0 == 1009 else series_length(d0)
+
+    monkeypatch.setattr(lfunctions, "series_length", longer)
+    with pytest.raises(ValueError, match=r"D0=1009 reach u = 4\.5\d*, past the g table end 4\.5"):
+        cohen_series([5, 1009, 13], BIG)
 
 
 def test_fundamental_part_pinned():
