@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .census import CensusResult
-from .sl2fp import class_list, class_mass, predicted_density
+from .sl2fp import class_list, class_mass, predicted_densities
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def density_rows(result: CensusResult) -> tuple[tuple[DensityRow, ...], ...]:
     p rows (ascending a) per checkpoint."""
     p = result.config.p
     fold = result.folded()
-    preds = [predicted_density(p, a) for a in range(p)]
+    preds = predicted_densities(p)
     out = []
     for i, x in enumerate(result.config.norm_bounds):
         rows = []

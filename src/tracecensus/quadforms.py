@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .numtheory import is_square, sqrt_mod_prime_power
+from .numtheory import is_probable_prime, is_square, sqrt_mod_prime_power
 
 Form = tuple[int, int, int]
 
@@ -242,25 +242,31 @@ def pell_from_known(t: int, m: int, D: int) -> tuple[int, int]:
     """Fundamental (tau, s) of tau^2 - D s^2 = 4 given any solution (t, m).
 
     The given unit is a power of the fundamental one, so t is a Chebyshev
-    image V_k of the fundamental trace.  Ascending k from 2 while the
-    smallest k-th power trace V_k(3) is at most t, every exact k-th root
-    tau with tau^2 - 4 = D s^2 replaces t and is tried at the same k
-    again.  A composite k never hits first, because a k-th power is also
-    a q-th power for every prime q dividing k.  No factorization of m is
-    involved, so this stays cheap even when m has hundreds of digits.
+    image V_k of the fundamental trace (Lenstra, "Solving the Pell
+    equation", Notices AMS 49, 2002).  Every unit trace of O_D has
+    tau^2 - 4 = D s^2 >= D, so tau >= lo = max(3, isqrt(D + 3) + 1), and a
+    k-th root can exist only while V_k(lo) <= t.  Only prime k are tried,
+    in ascending order, and a hit replaces t and is tried at the same k
+    again: once every smaller prime is divided out, t is no k-th power for
+    a composite k, since a k-th power is also a q-th power for every prime
+    q dividing k.  For tau >= 3, (tau - 1)^k < V_k(tau) < tau^k, so the
+    only candidate root is the floor k-th root of t plus one; the cheap
+    congruence and square tests run before the Lucas ladder.  No
+    factorization of m is involved, so this stays cheap even when m has
+    hundreds of digits.
     """
     if t < 3 or m < 1 or t * t - m * m * D != 4:
         raise ValueError("(%d, %d) does not solve the unit equation for D=%d" % (t, m, D))
-    k, v_prev, v = 2, 3, 7
+    lo = max(3, math.isqrt(D + 3) + 1)
+    k, v_prev, v = 2, lo, lo * lo - 2
     while v <= t:
-        r = _int_root(t, k)
-        for tau in (r - 1, r, r + 1, r + 2):
+        if is_probable_prime(k):
+            tau = _int_root(t, k) + 1
             num = tau * tau - 4
-            if tau >= 3 and _trace_power(tau, k) == t and num % D == 0 and is_square(num // D):
+            if tau >= lo and num % D == 0 and is_square(num // D) and _trace_power(tau, k) == t:
                 t = tau
-                break
-        else:
-            k, v_prev, v = k + 1, v, 3 * v - v_prev
+                continue
+        k, v_prev, v = k + 1, v, lo * v - v_prev
     return t, math.isqrt((t * t - 4) // D)
 
 

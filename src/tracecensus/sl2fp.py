@@ -140,3 +140,11 @@ def predicted_density(p: int, a: int) -> Fraction:
     """
     _require_prime(p)
     return (trace_mass(p, a) + trace_mass(p, -a)) / 4
+
+
+def predicted_densities(p: int) -> list[Fraction]:
+    """predicted_density(p, a) for a = 0 .. p - 1, from one class list."""
+    masses = [Fraction(0)] * p
+    for cls in class_list(p):
+        masses[cls.trace] += Fraction(2, cls.centralizer)
+    return [(masses[a] + masses[-a % p]) / 4 for a in range(p)]

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tracecensus import quadforms
 from tracecensus.quadforms import (
     _trace_power,
     class_cycles,
@@ -180,13 +182,43 @@ def test_pell_matches_cf_oracle():
         assert (tau, s) == pell_oracle(D), D
 
 
+def _first_square(D, stop, chunk=1 << 16):
+    """Smallest s2 in [1, stop) with 4 + s2^2 D a perfect square, or None.
+
+    Scans in int64 chunks.  Each isqrt starts from a float estimate, which
+    is within one of it while v < 2^62; one integer step either way
+    corrects it, and the result is then checked exactly.
+    """
+    for lo in range(1, stop, chunk):
+        hi = min(lo + chunk, stop)
+        assert (hi - 1) ** 2 * D + 4 < 2**62, (D, hi)
+        v = np.arange(lo, hi, dtype=np.int64)
+        v *= v
+        v *= D
+        v += 4
+        r = np.sqrt(v).astype(np.int64)
+        r -= r * r > v
+        r += (r + 1) * (r + 1) <= v
+        assert ((r * r <= v) & ((r + 1) * (r + 1) > v)).all(), D
+        hit = np.flatnonzero(r * r == v)
+        if hit.size:
+            return lo + int(hit[0])
+    return None
+
+
 def test_pell_is_minimal_small():
-    # brute scan over s confirms minimality where that is feasible
+    # exhaustive scan over s2 < s confirms minimality where that is feasible
     for D in small_discs(5, 120):
         tau, s = fundamental_unit(D)
-        for s2 in range(1, s):
-            v = 4 + s2 * s2 * D
-            assert math.isqrt(v) ** 2 != v, (D, s2)
+        assert (s - 1) ** 2 * D + 4 < 2**62, D
+        assert _first_square(D, s) is None, D
+
+
+def test_minimality_scan_finds_a_smaller_square():
+    # the square of the unit has s' = tau s, so the scan below s' must stop at s
+    for D in small_discs(5, 120):
+        tau, s = fundamental_unit(D)
+        assert _first_square(D, tau * s) == s, D
 
 
 def test_pell_large_regulator():
@@ -236,6 +268,47 @@ def test_pell_from_known_higher_powers():
     for k in range(2, 200):
         u_prev, u = u, 3 * u - u_prev
         assert pell_from_known(_lucas_v(3, k), u, 5) == (3, 1), k
+
+
+def test_pell_from_known_tries_prime_exponents_only(monkeypatch):
+    units = {D: fundamental_unit(D) for D in small_discs(5, 60)}
+    tried = set()
+    int_root = quadforms._int_root
+
+    def recording_root(n, k):
+        tried.add(k)
+        return int_root(n, k)
+
+    monkeypatch.setattr(quadforms, "_int_root", recording_root)
+    for D, (tau, s) in units.items():
+        u_prev, u = 0, 1
+        for k in range(2, 41):
+            u_prev, u = u, tau * u - u_prev
+            assert pell_from_known(_lucas_v(tau, k), s * u, D) == (tau, s), (D, k)
+    composite = {k for k in range(4, max(tried) + 1) if any(k % q == 0 for q in range(2, k))}
+    assert not tried & composite, sorted(tried)
+    assert set(range(2, 38)) - composite <= tried
+
+
+def test_pell_from_known_bound_is_tight():
+    # D = tau^2 - 4 has the unit (tau, 1), whose trace is exactly isqrt(D + 3) + 1
+    for tau in range(3, 201):
+        D = tau * tau - 4
+        u_prev, u = 0, 1
+        for k in range(2, 41):
+            u_prev, u = u, tau * u - u_prev
+            assert pell_from_known(_lucas_v(tau, k), u, D) == (tau, 1), (tau, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=5, max_value=4999), st.integers(min_value=2, max_value=30))
+def test_pell_from_known_recovers_any_power(D, k):
+    assume(valid_discriminant(D))
+    tau, s = fundamental_unit(D)
+    u_prev, u = 0, 1
+    for _ in range(k - 1):
+        u_prev, u = u, tau * u - u_prev
+    assert pell_from_known(_lucas_v(tau, k), s * u, D) == fundamental_unit(D)
 
 
 def test_pell_from_known_mixed_orders():
