@@ -75,7 +75,9 @@ def density_report(result: CensusResult, checkpoint: int = -1) -> DensityReport:
     all_rows = density_rows(result)
     i = range(len(all_rows))[checkpoint]
     rows = all_rows[i]
-    assert sum(r.predicted for r in rows) == 1
+    total = sum(r.predicted for r in rows)
+    if total != 1:
+        raise RuntimeError("predicted densities for p=%d sum to %s, not 1" % (result.config.p, total))
     xs = result.config.norm_bounds
     return DensityReport(
         p=result.config.p,

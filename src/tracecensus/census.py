@@ -240,8 +240,8 @@ def required_table_limit(x: int, backend: str = "exact") -> int:
 def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -> float:
     """h(D) * log(eps_D) through either route.
 
-    exact: class cycle count times the chakravala unit logarithm, the
-    oracle of the census weights.
+    exact: class cycle count times the logarithm of the unit read off the
+    principal cycle, the oracle of the census weights.
     analytic: sqrt(D) * L(1, chi_D) by the class number formula, computed
     through Cohen's erfc/E1 series as the census does; the table must
     reach isqrt(D) and about 3.7 sqrt(D0) for the fundamental part D0 of D.

@@ -10,11 +10,18 @@ square roots of D mod 4a lifted from prime powers: O(sqrt(D)) values of a
 in place of the O(D) b-window scan of reduced_forms, which stays as its
 oracle.  The tests check that the walked cycles cover exactly the scanned
 forms, so neither can silently drift.
+
+fundamental_unit walks one more cycle with the same walker, that of the
+principal form: the product of its rho-step substitutions is the
+fundamental proper automorph, whose entries give the norm-one unit.
+pell_from_known recovers that unit from any power of it by Lucas roots,
+without walking; the tests hold the two routes against each other.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from .numtheory import is_probable_prime, is_square, sqrt_mod_prime_power
 
@@ -35,8 +42,8 @@ def rho(form: Form, D: int) -> Form:
 
     b' is the representative of -b mod 2|c| in the window (s - 2|c|, s],
     s = isqrt(D).  A reduced form has |c| < sqrt(D), so that window is the
-    one the cycle needs; class_cycles checks at every step that the walk
-    stays reduced.
+    one the cycle needs; _cycle checks at every step that the walk stays
+    reduced.
     """
     _, b, c = form
     s = math.isqrt(D)
@@ -79,6 +86,25 @@ def _spf_list(n: int) -> list[int]:
     for i in range(math.isqrt(n), 1, -1):
         spf[i * i :: i] = [i] * ((n - i * i) // i + 1)
     return spf
+
+
+def _cycle(f: Form, D: int) -> Iterator[Form]:
+    """The rho-cycle of the reduced form f, from f up to the form before f again.
+
+    Every form is checked to be reduced before it is given out.  rho
+    permutes the reduced forms, so the walk comes back to f.
+    """
+    s = math.isqrt(D)
+    g = f
+    while True:
+        a, b, _ = g
+        # the reduced window of reduced_forms: max(s - 2|a| + 1, 2|a| - s, 1) <= b <= s
+        if not (0 < b <= s and s - b < 2 * abs(a) <= s + b):
+            raise RuntimeError("rho left the reduced set at %r (D=%d)" % (g, D))
+        yield g
+        g = rho(g, D)
+        if g == f:
+            return
 
 
 def class_cycles(D: int) -> list[list[Form]]:
@@ -131,18 +157,11 @@ def class_cycles(D: int) -> list[list[Form]]:
             if math.gcd(a, b, c) != 1:
                 continue
             for f in ((a, b, c), (-a, b, -c)):
-                if f in seen:
-                    continue
-                cycle = []
-                while f not in seen:
-                    fa = abs(f[0])
-                    if not max(s - 2 * fa + 1, 2 * fa - s, 1) <= f[1] <= s:
-                        raise RuntimeError("rho left the reduced set at %r (D=%d)" % (f, D))
-                    seen.add(f)
-                    cycle.append(f)
-                    f = rho(f, D)
-                i = cycle.index(min(cycle))
-                cycles.append(cycle[i:] + cycle[:i])
+                if f not in seen:
+                    cycle = list(_cycle(f, D))
+                    seen.update(cycle)
+                    i = cycle.index(min(cycle))
+                    cycles.append(cycle[i:] + cycle[:i])
     cycles.sort()
     return cycles
 
@@ -189,53 +208,27 @@ def _trace_power(tau: int, k: int) -> int:
     return v
 
 
-def _pell1(N: int) -> tuple[int, int]:
-    """Fundamental solution of x^2 - N y^2 = 1 by the chakravala method."""
-    a0 = math.isqrt(N)
-    if a0 * a0 == N:
-        raise ValueError("N must be nonsquare")
-    # seed (p, q, k) with p = a0 or a0+1, whichever makes |k| smaller
-    if N - a0 * a0 <= (a0 + 1) ** 2 - N:
-        p, q, k = a0, 1, a0 * a0 - N
-    else:
-        p, q, k = a0 + 1, 1, (a0 + 1) ** 2 - N
-    for _ in range(10**6):
-        if k == 1:
-            return p, q
-        ak = abs(k)
-        m0 = (-p * pow(q, -1, ak)) % ak
-        # candidates nearest sqrt(N) in the residue class, prefer smaller |m^2-N|
-        m1 = m0 + ak * ((a0 - m0) // ak)
-        if m1 < 1:
-            m1 += ak
-        m2 = m1 + ak
-        m = m1 if abs(m1 * m1 - N) <= abs(m2 * m2 - N) else m2
-        p, q, k = (p * m + N * q) // ak, (p + q * m) // ak, (m * m - N) // k
-    raise RuntimeError("chakravala did not terminate for N=%d" % N)
-
-
 def fundamental_unit(D: int) -> tuple[int, int]:
     """Smallest (tau, s) with tau > 2, s >= 1 and tau^2 - D s^2 = 4.
 
-    The norm-one fundamental unit of O_D is (tau + s sqrt(D)) / 2.  Works
-    from the chakravala solution of the unit equation; for odd D a cube
-    root descent recovers the half-integer unit when there is one.
+    The norm-one fundamental unit of O_D is (tau + s sqrt(D)) / 2, read off
+    the rho-cycle of the principal form (1, b0, (b0^2 - D) / 4), b0 the
+    largest b <= isqrt(D) with b = D mod 2 (Lenstra, "Solving the Pell
+    equation", Notices AMS 49, 2002).  The step (a, b, c) -> (c, b', c')
+    is the substitution [[0, -1], [1, d]] with d = (b + b') / 2c, which is
+    sign(c) * floor((isqrt(D) + b) / 2|c|).  Their product once round the
+    cycle is a generator of the proper automorphs of the principal form,
+    up to sign: [[(tau - b0 s) / 2, -c0 s], [s, (tau + b0 s) / 2]].  Only
+    its second row (r, u) is kept, and tau = |2u - b0 r|, s = |r|.
     """
     require_discriminant(D)
-    if D % 4 == 0:
-        x, y = _pell1(D // 4)
-        return 2 * x, y
-    x, y = _pell1(D)
-    r = _int_root(2 * x, 3)
-    for tau in range(max(3, r - 2), r + 3):
-        if tau**3 - 3 * tau == 2 * x:
-            num = tau * tau - 4
-            if num % D == 0 and is_square(num // D):
-                s = math.isqrt(num // D)
-                if tau * tau - D * s * s == 4:
-                    return tau, s
-    assert (2 * x) ** 2 - D * (2 * y) ** 2 == 4
-    return 2 * x, 2 * y
+    s = math.isqrt(D)
+    b0 = s - ((s ^ D) & 1)
+    r, u = 0, 1
+    for _, b, c in _cycle((1, b0, (b0 * b0 - D) // 4), D):
+        q = (s + b) // (2 * abs(c))
+        r, u = u, (q if c > 0 else -q) * u - r
+    return abs(2 * u - b0 * r), abs(r)
 
 
 def pell_from_known(t: int, m: int, D: int) -> tuple[int, int]:

@@ -102,6 +102,15 @@ def test_density_report_pre_asymptotic_flag():
     assert all(row.psi_a == 0.0 for row in rep.rows)
 
 
+def test_density_report_rejects_predictions_not_summing_to_one(monkeypatch):
+    from tracecensus import analysis
+
+    skewed = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+    monkeypatch.setattr(analysis, "predicted_densities", lambda p: skewed)
+    with pytest.raises(RuntimeError, match="p=3 sum to 7/8"):
+        density_report(RES3)
+
+
 def test_error_series_shapes():
     pts = density_error_series(RES3)
     assert [x for x, _ in pts] == [100, 500, 2000]

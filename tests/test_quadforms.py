@@ -182,6 +182,24 @@ def test_pell_matches_cf_oracle():
         assert (tau, s) == pell_oracle(D), D
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=5, max_value=10**6 - 1))
+def test_pell_matches_cf_oracle_wide(D):
+    assume(valid_discriminant(D))
+    assert fundamental_unit(D) == pell_oracle(D)
+
+
+def test_unit_fixes_every_reduced_form():
+    # [[(tau - b s)/2, -c s], [a s, (tau + b s)/2]] is a proper automorph of
+    # (a, b, c) for every unit (tau, s); checked form by form, not by walking
+    for D in small_discs(5, 3000):
+        tau, s = fundamental_unit(D)
+        for a, b, c in reduced_forms(D):
+            assert (tau - b * s) % 2 == 0, (D, a, b, c)
+            mat = ((tau - b * s) // 2, -c * s, a * s, (tau + b * s) // 2)
+            assert apply_sl2((a, b, c), mat) == (a, b, c), (D, a, b, c)
+
+
 def _first_square(D, stop, chunk=1 << 16):
     """Smallest s2 in [1, stop) with 4 + s2^2 D a perfect square, or None.
 
