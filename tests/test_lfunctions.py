@@ -94,8 +94,46 @@ def test_chi_columns_stop_at_their_own_length():
         assert [int(v) for v in chi[:, i]] == want, D0
 
 
+# a prime = 1 mod 4 above 10^9, 4 times a prime = 3 mod 4, and a prime
+# = 1 mod 4 above 2^32, so D0 mod q does not fit the uint32 kernel
+LARGE_D0 = [10**9 + 9, 4 * (10**9 + 7), 4294967357]
+
+
+@pytest.mark.parametrize(
+    "d0s, lengths",
+    [
+        # no (odd prime, column) pair at all: chi(0), chi(1) and chi(2) only
+        ([5, 8, 12, 13], [0] * 4),
+        ([5, 8, 12, 13], [1] * 4),
+        ([5, 8, 12, 13], [2] * 4),
+        ([5, 8, 12, 13], [0, 2, 1, 2]),
+        # columns shorter than 3 beside columns thousands of terms long
+        ([5, 10**9 + 9, 8, 13, 4 * (10**9 + 7), 1009], [2, 5000, 0, 1, 3001, 118]),
+        # the longest length picks the dtype: uint32 below 2^16, uint64 above
+        (LARGE_D0, [2**16 - 1, 2**16 - 3, 2**16 - 1]),
+        (LARGE_D0, [2**16 + 1, 2**16 - 1, 2**16 + 1]),
+    ],
+    ids=["n0", "n1", "n2", "n0-2", "ragged", "uint32", "uint64"],
+)
+def test_chi_columns_match_kronecker_for_any_lengths(d0s, lengths):
+    chi = chi_columns(d0s, lengths, BIG)
+    assert chi.shape == (max(lengths) + 1, len(d0s))
+    for i, (D0, n) in enumerate(zip(d0s, lengths)):
+        want = [kronecker(D0, k) if k <= n else 0 for k in range(len(chi))]
+        assert chi[:, i].tolist() == want, D0
+
+
+# fundamental parts of D up to 10^6, whose series need up to 3701 terms, so
+# a block mixes columns of very different lengths
+LARGE_FUNDAMENTAL = (
+    st.integers(5, 10**6)
+    .filter(lambda D: D % 4 in (0, 1) and math.isqrt(D) ** 2 != D)
+    .map(lambda D: fundamental_part(D, BIG)[0])
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(d0s=st.lists(st.sampled_from(FUNDAMENTAL), min_size=1, max_size=12))
+@given(d0s=st.lists(st.sampled_from(FUNDAMENTAL) | LARGE_FUNDAMENTAL, min_size=1, max_size=12))
 def test_cohen_series_block_is_bitwise_its_blocks_of_one(d0s):
     # a value does not depend on the block it is computed in, nor on its
     # place there, and the block of one is l_value's series
