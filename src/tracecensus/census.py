@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lfunctions
-from .numtheory import SpfTable, build_spf_table, divisors_from_factorization, factorize
+from .numtheory import SpfTable, build_spf_table, divisors_from_factorization, factorize, nonresidue
 from .quadforms import class_number, fundamental_unit, unit_log
 # unused here, but the benchmark's traced pass rebinds them on this module
 from .quadforms import class_number_and_reps, pell_from_known  # noqa: F401
@@ -147,7 +147,7 @@ def _splitting_classes(p: int, t: int, m: int, d0: int) -> tuple[sl2fp.Label, ..
     if (t - 2) % p and (t + 2) % p:
         return (sl2fp.classify((0, p - 1, 1, t % p), p),)
     s = 1 if (t - 2) % p == 0 else -1
-    gs = (1,) if p == 2 or d0 == p else (1, sl2fp._nonresidue(p))
+    gs = (1,) if p == 2 or d0 == p else (1, nonresidue(p))
     return tuple(sl2fp.classify((s, 0, m * g, s), p) for g in gs)
 
 

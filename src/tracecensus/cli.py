@@ -259,23 +259,26 @@ def _cmd_fit(args) -> int:
 
 
 def _load_error_series(path: str) -> dict[int, list[tuple[int, float]]]:
-    """Per-prime (x, max-over-a absolute error) points from a stored report."""
+    """Per-prime (x, max-over-a absolute error) points from a stored report.
+
+    A report that lacks a field or holds a value of the wrong shape raises
+    ValueError naming the file and the field or the fault.
+    """
     by_key: dict[tuple[int, int], float] = {}
-    if path.endswith(".json"):
-        with open(path) as fh:
-            doc = json.load(fh)
-        for entry in doc.get("series", []):
-            p = entry["p"]
-            for row in entry["rows"]:
-                key = (p, row["x"])
-                err = row["abs_err"] * row["x"]
-                by_key[key] = max(by_key.get(key, 0.0), err)
-    else:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+    with open(path, newline="") as fh:
+        try:
+            if path.endswith(".json"):
+                doc = json.load(fh)
+                rows = [{"p": entry["p"], **row} for entry in doc["series"] for row in entry["rows"]]
+            else:
+                rows = csv.DictReader(fh)
+            for row in rows:
                 key = (int(row["p"]), int(row["x"]))
-                err = float(row["abs_err"]) * int(row["x"])
-                by_key[key] = max(by_key.get(key, 0.0), err)
+                by_key[key] = max(by_key.get(key, 0.0), float(row["abs_err"]) * key[1])
+        except KeyError as exc:
+            raise ValueError("%s has no %s field" % (path, exc)) from None
+        except TypeError as exc:
+            raise ValueError("%s is not a census series: %s" % (path, exc)) from None
     out: dict[int, list[tuple[int, float]]] = {}
     for (p, x), err in sorted(by_key.items()):
         out.setdefault(p, []).append((x, err))

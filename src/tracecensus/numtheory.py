@@ -3,7 +3,9 @@
 Everything here is exact integer arithmetic.  The smallest-prime-factor table
 is the one shared piece of state: build it once, sized a little past the
 largest trace you will census, and every t-2 / t+2 factorization is a table
-walk instead of trial division.
+walk instead of trial division.  Square roots modulo p^k are Tonelli-Shanks
+mod p, then one Hensel lifting rule per power of p (Cohen, GTM 138, 1.5);
+only the cycle oracle quadforms.class_cycles needs them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "kronecker",
     "is_square",
     "is_probable_prime",
+    "nonresidue",
     "sqrt_mod_prime",
     "sqrt_mod_prime_power",
 ]
@@ -174,32 +177,32 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """Smallest square root of a modulo an odd prime p, or None.
+def nonresidue(p: int) -> int:
+    """Least quadratic non-residue modulo an odd prime p."""
+    n = 2
+    while kronecker(n, p) != -1:
+        n += 1
+    return n
 
-    Tonelli-Shanks with a deterministic non-residue search, so the result
-    is reproducible.  Returns r with r^2 = a (mod p) and r <= p - r.
+
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """Smallest square root of a modulo a prime p, or None.
+
+    Tonelli-Shanks with the least non-residue, so the result is
+    reproducible.  Returns r with r^2 = a (mod p) and r <= p - r.
     """
     a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a % 2
+    if a == 0 or p == 2:
+        return a
     if kronecker(a, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     # write p-1 = q * 2^s with q odd
     q = p - 1
     s = 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
+    c = pow(nonresidue(p), q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
@@ -221,70 +224,25 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
 def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
     """All square roots of a modulo p^k, sorted.
 
-    Handles p | a (the valuation-splitting cases) and p = 2 (where the
-    root count is 0, 1, 2 or 4 and lifting gains a branch per step).
+    Start from the roots mod p and lift one power at a time: for j >= 1,
+    (r + i p^j)^2 = r^2 + 2 r i p^j (mod p^(j+1)).  A root r mod p^j with
+    p not dividing 2r lifts by the one i solving 2 r i = (a - r^2)/p^j
+    (mod p); one with p | 2r lifts by all p values of i or by none.  The
+    same rule covers p | a and p = 2.
     """
-    pk = p ** k
-    a %= pk
     if k == 0:
         return [0]
-    if a == 0:
-        # x = 0 mod p^ceil(k/2); p^floor(k/2) such residues mod p^k
-        step = p ** ((k + 1) // 2)
-        return list(range(0, pk, step))
-    # split off the exact power of p
-    v = 0
-    u = a
-    while u % p == 0:
-        u //= p
-        v += 1
-    if v % 2 == 1:
-        return []
-    h = v // 2
-    # roots of u mod p^(k-v), then scale by p^h; each lifts p^h ways mod p^k
-    base = _sqrt_mod_unit(u, p, k - v)
-    if not base:
-        return []
-    mod_small = p ** (k - v + h)  # roots x = p^h * y live mod p^(k-v+h)
-    out = set()
-    for y in base:
-        x0 = (p ** h) * y % mod_small
-        for j in range(p ** (v - h)):
-            out.add((x0 + j * mod_small) % pk)
-    return sorted(out)
-
-
-def _sqrt_mod_unit(u: int, p: int, m: int) -> list[int]:
-    """Square roots of a unit u modulo p^m (p prime, p does not divide u)."""
-    if m == 0:
-        return [0]
-    if p != 2:
-        r = sqrt_mod_prime(u, p)
-        if r is None:
-            return []
-        pe = p
-        while pe < p ** m:
-            # Hensel: r <- r - (r^2 - u) / (2r) mod pe^2
-            pe2 = pe * pe
-            inv = pow(2 * r % pe2, -1, pe2)
-            r = (r - (r * r - u) * inv) % pe2
-            pe = pe2
-        pm = p ** m
-        r %= pm
-        return sorted({r, pm - r})
-    # p = 2
-    if m == 1:
-        return [1]
-    if m == 2:
-        return [1, 3] if u % 4 == 1 else []
-    if u % 8 != 1:
-        return []
-    # lift from the root 1 mod 8, one bit at a time
-    r = 1
-    for j in range(3, m):
-        if (r * r - u) % (1 << (j + 1)) != 0:
-            r += 1 << (j - 1)
-    pm = 1 << m
-    r %= pm
-    half = 1 << (m - 1)
-    return sorted({r, pm - r, (r + half) % pm, (pm - r + half) % pm})
+    r = sqrt_mod_prime(a, p)
+    roots = [] if r is None else sorted({r, -r % p})
+    pj = p
+    for _ in range(1, k):
+        lifted = []
+        for r in roots:
+            c = (a - r * r) // pj  # exact: r is a root mod p^j
+            if (2 * r) % p:
+                lifted.append(r + c * pow(2 * r, -1, p) % p * pj)
+            elif c % p == 0:
+                lifted.extend(range(r, pj * p, pj))
+        roots = lifted
+        pj *= p
+    return sorted(roots)

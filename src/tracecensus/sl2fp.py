@@ -3,7 +3,10 @@
 For p >= 3 the p + 4 classes are: two central (+-I), four unipotent-type
 (sign of trace x square class of the off-diagonal alpha), (p-3)/2 split
 semisimple and (p-1)/2 nonsplit semisimple.  p = 2 is its own tiny case
-(SL2(F_2) is the symmetric group on 3 letters).
+(SL2(F_2) is the symmetric group on 3 letters).  Every semisimple class is
+represented by the companion matrix of x^2 - a x + 1, split exactly when
+a^2 - 4 is a nonzero square mod p, so building the table takes no square
+root.
 
 Masses are exact Fractions throughout; floats appear only when a report
 asks for them.
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numtheory import is_probable_prime, kronecker
+from .numtheory import is_probable_prime, kronecker, nonresidue
 
 Mat = tuple[int, int, int, int]
 
@@ -40,13 +43,6 @@ def _require_prime(p: int) -> None:
         raise ValueError("p must be prime, got %r" % (p,))
 
 
-def _nonresidue(p: int) -> int:
-    n = 2
-    while kronecker(n, p) != -1:
-        n += 1
-    return n
-
-
 def class_list(p: int) -> list[ConjClass]:
     """All conjugacy classes, deterministic order, sizes summing to |G|."""
     _require_prime(p)
@@ -58,7 +54,7 @@ def class_list(p: int) -> list[ConjClass]:
             ConjClass(("nonsplit", 1), 1, 2, 3, (0, 1, 1, 1)),
         ]
     g = group_order(p)
-    nu = _nonresidue(p)
+    nu = nonresidue(p)
     out = []
     for sign in (1, -1):
         sp = sign % p
@@ -70,22 +66,11 @@ def class_list(p: int) -> list[ConjClass]:
                                  (p * p - 1) // 2, 2 * p, rep))
     for a in range(p):
         k = kronecker(a * a - 4, p)
-        if k == 1:
-            out.append(ConjClass(("split", a), a, p * (p + 1), p - 1,
-                                 _split_rep(a, p)))
-        elif k == -1:
-            # companion matrix of x^2 - a x + 1
-            out.append(ConjClass(("nonsplit", a), a, p * (p - 1), p + 1,
-                                 (0, (p - 1), 1, a % p)))
+        if k:
+            # companion matrix of x^2 - a x + 1; |class| = p(p + k), centralizer p - k
+            kind = "split" if k == 1 else "nonsplit"
+            out.append(ConjClass((kind, a), a, p * (p + k), p - k, (0, p - 1, 1, a)))
     return out
-
-
-def _split_rep(a: int, p: int) -> Mat:
-    from .numtheory import sqrt_mod_prime
-
-    r = sqrt_mod_prime((a * a - 4) % p, p)
-    lam = (a + r) * pow(2, -1, p) % p
-    return (lam, 0, 0, pow(lam, -1, p))
 
 
 def classify(mat: Mat, p: int) -> Label:

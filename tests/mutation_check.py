@@ -1,0 +1,81 @@
+"""Mutation check: each one-line mutant of src/ must fail the tests named here.
+
+Copies src/ to a temporary directory, runs the tests against the unmutated
+copy (they must pass), then applies each mutant in turn and runs them again
+(they must fail).  Exits 0 when every mutant is killed, 1 otherwise.
+
+    python tests/mutation_check.py
+
+Not a pytest module: it runs pytest once per mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/tracecensus, line text, its mutant)
+MUTANTS = [
+    ("lfunctions.py",
+     "    return [math.fsum(rows[a:b]) for a, b in zip(ends, ends[1:])]",
+     "    return [sum(rows[a:b]) for a, b in zip(ends, ends[1:])]"),
+    ("census.py",
+     "psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])",
+     "psi = np.array([[sum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])"),
+    ("census.py",
+     "cls = np.array([[math.fsum(cw[: tb + 1, k]) for k in range(ncls)] for tb in tbounds])",
+     "cls = np.array([[sum(cw[: tb + 1, k]) for k in range(ncls)] for tb in tbounds])"),
+]
+
+TESTS = [
+    "tests/test_lfunctions.py::test_cohen_series_rounds_the_exact_sum_of_its_terms_once",
+    "tests/test_census.py::test_reduce_rounds_the_exact_sum_of_each_mass_once",
+]
+
+
+def _pytest(src: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import tracecensus; print(tracecensus.__file__)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).is_relative_to(src):
+        raise SystemExit("tracecensus imports from %s, not from the copy %s" % (where, src))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        code = _pytest(src)
+        print("unmutated: pytest exit %d (%s)" % (code, "pass" if code == 0 else "FAIL"))
+        ok &= code == 0
+        for name, line, mutant in MUTANTS:
+            path = src / "tracecensus" / name
+            text = path.read_text()
+            if text.count(line) != 1:
+                print("%s: the line to mutate is not there once: %s" % (name, line.strip()))
+                ok = False
+                continue
+            path.write_text(text.replace(line, mutant))
+            code = _pytest(src)
+            path.write_text(text)
+            # exit 1 is failing tests; anything else is an error, not a kill
+            killed = code == 1
+            print("%s: %s -> pytest exit %d (%s)"
+                  % (name, mutant.strip(), code, "killed" if killed else "SURVIVED"))
+            ok &= killed
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

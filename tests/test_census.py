@@ -32,6 +32,29 @@ from oracles import matrix_from_form
 TABLE = build_spf_table(6000)
 
 
+def test_reduce_rounds_the_exact_sum_of_each_mass_once(monkeypatch):
+    # every residue and class mass is its lines' float weights summed in
+    # rationals and rounded once, so any other summation shows
+    seen = []
+    real = census._reduce
+
+    def spy(rows, tbounds, p, ncls):
+        seen.append((rows, tbounds, real(rows, tbounds, p, ncls)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(census, "_reduce", spy)
+    run_census(RunConfig(p=5, norm_bounds=(10**3, 10**4, 10**5), resolve_classes=True))
+    [(rows, tbounds, (psi, cls))] = seen
+    lines = list(enumerate(rows, 3))
+    for i, tb in enumerate(tbounds):
+        for a in range(5):
+            exact = sum(Fraction(w) for t, (w, _) in lines if t <= tb and t % 5 == a)
+            assert psi[i, a] == float(exact), (tb, a)
+        for k in range(cls.shape[1]):
+            exact = sum(Fraction(split[k]) for t, (_, split) in lines if t <= tb)
+            assert cls[i, k] == float(exact), (tb, k)
+
+
 def test_trace_bound_pinned():
     assert trace_bound(50) == 7
     assert trace_bound(10**4) == 100

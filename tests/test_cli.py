@@ -260,6 +260,21 @@ def test_fit_names_primes_missing_from_the_report(capsys, tmp_path):
     assert code == 0 and text.startswith("p=5")
 
 
+@pytest.mark.parametrize("name, body, complaint", [
+    ("no-p.csv", "x,a,abs_err\n100,0,0.5\n", "has no 'p' field"),
+    ("no-abs-err.json", '{"series": [{"p": 3, "rows": [{"x": 100, "a": 0}]}]}', "has no 'abs_err' field"),
+    ("list.json", "[1, 2]", "is not a census series: "),
+    ("short-row.csv", "x,p,a,abs_err\n100,3\n", "is not a census series: "),
+], ids=["csv-without-p", "json-row-without-abs-err", "json-list", "csv-short-row"])
+def test_fit_on_a_malformed_report_is_one_error_line(capsys, tmp_path, name, body, complaint):
+    path = tmp_path / name
+    path.write_text(body)
+    code, text, err = run(capsys, "fit", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error: %s %s" % (path, complaint)) and err.count("\n") == 1
+    assert text == ""
+
+
 def test_removed_backend_options_are_usage_errors(capsys):
     for opt in ("--backend=analytic", "--delta-switch=10"):
         with pytest.raises(SystemExit) as exc:

@@ -144,6 +144,17 @@ def test_cohen_series_block_is_bitwise_its_blocks_of_one(d0s):
         assert (value / math.sqrt(D0)).hex() == l_value(D0, BIG).hex(), D0
 
 
+def test_cohen_series_rounds_the_exact_sum_of_its_terms_once():
+    # each value is its own float terms, rebuilt as cohen_series forms them,
+    # summed in rationals and rounded once, so any other summation shows
+    d0s = [d for d in FUNDAMENTAL if d < 3000]
+    chi = chi_columns(d0s, [series_length(d0) for d0 in d0s], TABLE)
+    for d0, value, column in zip(d0s, cohen_series(d0s, TABLE), chi.T):
+        k = np.flatnonzero(column)
+        terms = cohen_g((1.0 / math.sqrt(d0)) * k) * column[k]
+        assert value == float(sum(map(Fraction, terms.tolist()))), d0
+
+
 def test_g_table_regenerates_bit_for_bit():
     want = g_table()
     assert len(want) == len(G_PIECES)

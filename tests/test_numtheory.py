@@ -162,7 +162,7 @@ def test_sqrt_mod_prime_basic():
 
 
 def test_sqrt_mod_prime_exhaustive():
-    for p in (3, 5, 7, 11, 13, 17, 101, 103, 997):  # both 1 and 3 mod 4
+    for p in (2, 3, 5, 7, 11, 13, 17, 101, 103, 997):  # both 1 and 3 mod 4
         residues = {(x * x) % p for x in range(p)}
         for a in range(p):
             r = sqrt_mod_prime(a, p)
@@ -173,14 +173,21 @@ def test_sqrt_mod_prime_exhaustive():
                 assert r is None, (a, p)
 
 
-def brute_roots(a, modulus):
-    return sorted(x for x in range(modulus) if (x * x - a) % modulus == 0)
-
-
 def test_sqrt_mod_prime_power_exhaustive():
-    for p, kmax in ((2, 6), (3, 4), (5, 3), (7, 2)):
+    for p, kmax in ((2, 9), (3, 6), (5, 3), (7, 2), (11, 3), (13, 2)):
         for k in range(1, kmax + 1):
             pk = p**k
+            brute = {a: [] for a in range(pk)}
+            for x in range(pk):
+                brute[x * x % pk].append(x)
             for a in range(pk):
                 got = sqrt_mod_prime_power(a, p, k)
-                assert got == brute_roots(a, pk), (a, p, k)
+                assert got == brute[a], (a, p, k)
+                assert sqrt_mod_prime_power(a - 3 * pk, p, k) == got, (a - 3 * pk, p, k)
+    # past brute force: every root squares to a, and a unit has 1 + (a/p) of them
+    p = 9973
+    for a in (*range(-300, 300), *range(p, 20 * p, p), p * p, -p * p):
+        got = sqrt_mod_prime_power(a, p, 2)
+        assert all((r * r - a) % (p * p) == 0 for r in got), a
+        want = 1 + kronecker(a, p) if a % p else (0 if a % (p * p) else p)
+        assert len(set(got)) == len(got) == want, a
