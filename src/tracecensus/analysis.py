@@ -1,7 +1,8 @@
 """Reports on census output: density comparisons and error-exponent fits.
 
 Everything here is a pure transform of a CensusResult; identical inputs
-give identical reports.
+give identical reports.  density_rows reads a result's masses and
+predictions as Python floats once, not per row.
 """
 
 from __future__ import annotations
@@ -41,27 +42,15 @@ class DensityReport:
 def density_rows(result: CensusResult) -> tuple[tuple[DensityRow, ...], ...]:
     """Empirical psi_pm/x against the closed-form densities, one tuple of
     p rows (ascending a) per checkpoint."""
-    p = result.config.p
-    fold = result.folded()
-    preds = predicted_densities(p)
+    preds = predicted_densities(result.config.p)
+    predfs = [float(pred) for pred in preds]
     out = []
-    for i, x in enumerate(result.config.norm_bounds):
+    for x, psi, fold in zip(result.config.norm_bounds, result.psi.tolist(), result.folded().tolist()):
         rows = []
-        for a, pred in enumerate(preds):
-            predf = float(pred)
-            pm = float(fold[i, a])
+        for a, (pred, predf, pm) in enumerate(zip(preds, predfs, fold)):
             emp = pm / x
-            rows.append(
-                DensityRow(
-                    a=a,
-                    psi_a=float(result.psi[i, a]),
-                    psi_pm=pm,
-                    predicted=pred,
-                    empirical=emp,
-                    abs_err=abs(emp - predf),
-                    rel_err=abs(emp - predf) / predf,
-                )
-            )
+            err = abs(emp - predf)
+            rows.append(DensityRow(a, psi[a], pm, pred, emp, err, err / predf))
         out.append(tuple(rows))
     return tuple(out)
 

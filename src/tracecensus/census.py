@@ -13,7 +13,8 @@ Euler multiplier times sqrt(D0) * L(1, chi_D0).  So each line is weighed by
 one L-value (Cohen's series, O(sqrt(D0))), and its SL2(F_p) classes by
 t mod p, m and Gauss's genus character, with no forms walked.  The exact
 route (class cycles times units) stays as the oracle, line_weight(D,
-backend="exact").
+backend="exact").  A splitting's classes depend only on t mod p, m mod p
+and whether D0 = p, so each block classifies a key once (_class_indices).
 
 Each line's weight is a pure function of t.  run_census cuts the trace
 range into blocks of consecutive lines, weighs each block with one
@@ -66,18 +67,14 @@ def trace_decompositions(t: int, table: SpfTable) -> list[tuple[int, int]]:
     """
     if t < 3:
         raise ValueError("trace must be at least 3")
-    merged: dict[int, int] = {}
-    for part in (t - 2, t + 2):
-        for q, e in factorize(part, table):
-            merged[q] = merged.get(q, 0) + e
-    square_part = [(q, e // 2) for q, e in merged.items() if e >= 2]
+    lo, hi = factorize(t - 2, table), factorize(t + 2, table)
+    if not t & 1:  # (2, e) leads both lists; the odd parts are coprime
+        hi[0] = (2, lo.pop(0)[1] + hi[0][1])
+    square_part = [(q, e // 2) for q, e in lo + hi if e >= 2]
     n = t * t - 4
-    out = []
-    for m in divisors_from_factorization(square_part):
-        d = n // (m * m)
-        if d & 3 in (0, 1):
-            out.append((m, d))
-    return out
+    if not square_part:
+        return [(1, n)]  # t*t - 4 = 0 or 1 (mod 4), so n itself is valid
+    return [(m, d) for m in divisors_from_factorization(square_part) if (d := n // (m * m)) & 3 < 2]
 
 
 @dataclass(frozen=True)
@@ -151,6 +148,18 @@ def _splitting_classes(p: int, t: int, m: int, d0: int) -> tuple[sl2fp.Label, ..
     return tuple(sl2fp.classify((s, 0, m * g, s), p) for g in gs)
 
 
+def _class_indices(memo: dict, label_index: dict, p: int, t: int, m: int,
+                   d0: int) -> tuple[int, ...]:
+    """label_index entries of _splitting_classes(p, t, m, d0), kept in memo.
+
+    The classes depend on t and m only mod p and on D0 only through D0 == p.
+    """
+    key = (t % p, m % p, d0 == p)
+    if key not in memo:
+        memo[key] = tuple(label_index[label] for label in _splitting_classes(p, t, m, d0))
+    return memo[key]
+
+
 def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
                  lines: range) -> list[tuple[float, list[float]]]:
     """Weight of each trace line in lines, and its split over label_index.
@@ -159,24 +168,25 @@ def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
     2 sqrt(D0) L(1, chi_D0) times the sum of the splittings' exact Euler
     multipliers: one L-value per line, all of a block's in one
     cohen_series pass.  With classes, each splitting's share goes in equal
-    parts to its _splitting_classes, summed per class in integers first.
+    parts to its _splitting_classes, read from a per-block memo
+    (_class_indices) and summed per class in integers first.
     A failure is raised again naming its line, or the block's lines if it
     is in the shared series pass, so a run never reports without them.
     """
-    parts = []
+    parts, memo = [], {}
     for t in lines:
         try:
             splittings = trace_decompositions(t, table)
-            # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the one with largest m
+            # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the last, of multiplier 1
             m0, d0 = splittings[-1]
-            mults = [lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings]
+            mults = [lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings[:-1]] + [1]
             # twice each class's multiplier sum, so half shares stay integers
             doubled = [0] * len(label_index)
             if label_index:
                 for (m, _), mult in zip(splittings, mults):
-                    labels = _splitting_classes(config.p, t, m, d0)
-                    for label in labels:
-                        doubled[label_index[label]] += 2 * mult // len(labels)
+                    idx = _class_indices(memo, label_index, config.p, t, m, d0)
+                    for i in idx:
+                        doubled[i] += 2 * mult // len(idx)
         except Exception as exc:
             raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
         parts.append((d0, sum(mults), doubled))
@@ -195,13 +205,13 @@ def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
 def _blocks(t_max: int) -> list[range]:
     """Consecutive trace lines 3..t_max cut into blocks for cohen_series.
 
-    A block grows while its lines times the longest series any of them can
-    need, series_length(t*t - 4), stay within BLOCK_ELEMENTS; a line that
-    alone exceeds it is a block of one.
+    A block grows while its lines times 3.7 t, about the longest series any
+    of them can need (series_length(t*t - 4)), stay within BLOCK_ELEMENTS;
+    a line that alone exceeds it is a block of one.
     """
     blocks, start = [], 3
     for t in range(4, t_max + 1):
-        if (t - start + 1) * lfunctions.series_length(t * t - 4) > BLOCK_ELEMENTS:
+        if (t - start + 1) * math.ceil(3.7 * t) > BLOCK_ELEMENTS:
             blocks.append(range(start, t))
             start = t
     if start <= t_max:
@@ -213,16 +223,14 @@ def _reduce(rows: Sequence[tuple[float, list[float]]], tbounds: Sequence[int], p
             ncls: int) -> tuple[np.ndarray, np.ndarray]:
     """Checkpointed residue and class masses from the line rows of t = 3, 4, ...
 
-    Line weights land in vectors indexed by t, and every mass is one
-    correctly rounded math.fsum over its lines.
+    Line weights land in lists of floats, w indexed by t and cw[k] by t - 3
+    for class k, and every mass is one correctly rounded math.fsum over its
+    lines.
     """
-    w = np.zeros(tbounds[-1] + 1)
-    cw = np.zeros((tbounds[-1] + 1, ncls))
-    for t, (weight, split) in enumerate(rows, 3):
-        w[t] = weight
-        cw[t] = split
+    w = [0.0] * 3 + [weight for weight, _ in rows]
+    cw = list(zip(*(split for _, split in rows))) or [()] * ncls
     psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])
-    cls = np.array([[math.fsum(cw[: tb + 1, k]) for k in range(ncls)] for tb in tbounds])
+    cls = np.array([[math.fsum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])
     return psi, cls
 
 
@@ -256,6 +264,13 @@ def line_weight(D: int, table: SpfTable | None = None, backend: str = "exact") -
     raise ValueError("unknown backend %r" % backend)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _ignore_interrupt() -> None:
     """Pool worker set-up: Ctrl-C is the parent's, which cancels the blocks."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -279,7 +294,7 @@ def run_census(config: RunConfig) -> CensusResult:
     pool = None
     try:
         if config.workers > 1 and blocks:
-            procs = min(config.workers, len(blocks), len(os.sched_getaffinity(0)))
+            procs = min(config.workers, len(blocks), usable_cpus())
             pool = ProcessPoolExecutor(max_workers=procs, initializer=_ignore_interrupt)
             # every task carries the table, so the blocks go in a few chunks
             results = pool.map(weigh, blocks, chunksize=max(1, len(blocks) // (8 * procs)))

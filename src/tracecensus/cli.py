@@ -25,10 +25,6 @@ from .sl2fp import class_list, class_mass, group_order
 CSV_HEADER = "x,p,a,psi_a,psi_pm,predicted,abs_err,rel_err"
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def _label_str(label) -> str:
     return ":".join(str(part) for part in label)
 
@@ -121,8 +117,8 @@ def _series_csv(results) -> str:
         p = res.config.p
         for x, xrows in zip(res.config.norm_bounds, density_rows(res)):
             for row in xrows:
-                values = (row.psi_a, row.psi_pm, float(row.predicted), row.abs_err, row.rel_err)
-                lines.append("%d,%d,%d," % (x, p, row.a) + ",".join(_fmt(v) for v in values))
+                lines.append("%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+                    x, p, row.a, row.psi_a, row.psi_pm, float(row.predicted), row.abs_err, row.rel_err))
     return "\n".join(lines) + "\n"
 
 

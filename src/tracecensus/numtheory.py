@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +33,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpfTable:
-    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0)."""
+    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0).
+
+    ints holds the same values as plain ints, for factorize's table walk.
+    """
 
     limit: int
     spf: np.ndarray = field(repr=False)
+    ints: array = field(repr=False)
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
@@ -63,7 +68,7 @@ def build_spf_table(limit: int) -> SpfTable:
     spf[rest] = rest
     spf[0] = 0
     spf[1] = 0
-    return SpfTable(limit=limit, spf=spf)
+    return SpfTable(limit=limit, spf=spf, ints=array("q", spf.tobytes()))
 
 
 # Deterministic Miller-Rabin bases, valid for all n < 3.3 * 10^24.
@@ -107,9 +112,9 @@ def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
     if n > table.limit:
         raise ValueError("factorize: %d exceeds the spf table limit %d" % (n, table.limit))
     out: list[tuple[int, int]] = []
-    spf = table.spf
+    spf = table.ints
     while n > 1:
-        p = int(spf[n])
+        p = spf[n]
         e = 0
         while n % p == 0:
             n //= p

@@ -29,8 +29,8 @@ MUTANTS = [
      "psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])",
      "psi = np.array([[sum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])"),
     ("census.py",
-     "cls = np.array([[math.fsum(cw[: tb + 1, k]) for k in range(ncls)] for tb in tbounds])",
-     "cls = np.array([[sum(cw[: tb + 1, k]) for k in range(ncls)] for tb in tbounds])"),
+     "cls = np.array([[math.fsum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])",
+     "cls = np.array([[sum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])"),
 ]
 
 TESTS = [

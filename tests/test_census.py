@@ -86,13 +86,17 @@ def test_decompositions_pinned():
 
 
 def test_decompositions_against_divisor_scan():
-    for t in range(3, 320):
+    for t in range(3, 1500):
         n = t * t - 4
-        want = set()
-        for m in range(1, math.isqrt(n) + 1):
-            if n % (m * m) == 0 and (n // (m * m)) % 4 in (0, 1):
-                want.add((m, n // (m * m)))
-        assert set(trace_decompositions(t, TABLE)) == want, t
+        want = [
+            (m, n // (m * m))
+            for m in range(1, math.isqrt(n) + 1)
+            if n % (m * m) == 0 and (n // (m * m)) % 4 in (0, 1)
+        ]
+        assert trace_decompositions(t, TABLE) == want, t
+    # t - 2 is in the table and t + 2 is not
+    with pytest.raises(ValueError, match="exceeds the spf table limit"):
+        trace_decompositions(TABLE.limit - 1, TABLE)
 
 
 def test_matrix_fixes_its_form():
@@ -279,9 +283,21 @@ def test_pool_never_exceeds_blocks_or_cpus(stub_pool):
     with pytest.raises(KeyboardInterrupt, match=r"^trace lines t=135\.\.31622 were not weighed$"):
         run_census(RunConfig(p=5, norm_bounds=(10**9,), workers=100000))
     pool = stub_pool.made[-1]
-    assert pool.max_workers == len(os.sched_getaffinity(0))
+    assert pool.max_workers == census.usable_cpus()
     assert pool.cancelled is True
     assert pool.kwargs == {"initializer": census._ignore_interrupt}
+
+
+def test_pool_counts_cpus_without_sched_getaffinity(stub_pool, monkeypatch):
+    # os.sched_getaffinity exists only on some Unix systems, such as Linux
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    config = RunConfig(p=5, norm_bounds=(10**6,))
+    pooled = run_census(dataclasses.replace(config, workers=8))
+    assert pooled.psi.tobytes() == run_census(config).psi.tobytes()
+    assert [pool.max_workers for pool in stub_pool.made] == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert census.usable_cpus() == 1
 
 
 def test_pool_workers_leave_ctrl_c_to_the_parent(monkeypatch):
@@ -408,6 +424,23 @@ def test_genus_rule_matches_cycle_walk(p):
             walked = oracles.cycle_classes(t, m, d, p)
             want = {label: Fraction(n, len(walked)) for label, n in Counter(walked).items()}
             assert got == want, (t, m, d)
+    assert d0_is_p >= {5: {3, 7, 18, 47}, 13: {11}}.get(p, set())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_class_memo_is_the_genus_rule(p):
+    # one memo for every line, so a key that missed what the classes
+    # depend on would hand a later splitting the wrong classes
+    label_index = {c.label: i for i, c in enumerate(sl2fp.class_list(p))}
+    memo, d0_is_p = {}, set()
+    for t in range(3, 700):
+        splittings = trace_decompositions(t, TABLE)
+        d0 = splittings[-1][1]
+        if d0 == p:
+            d0_is_p.add(t)
+        for m, _ in splittings:
+            want = tuple(label_index[label] for label in census._splitting_classes(p, t, m, d0))
+            assert census._class_indices(memo, label_index, p, t, m, d0) == want, (t, m)
     assert d0_is_p >= {5: {3, 7, 18, 47}, 13: {11}}.get(p, set())
 
 

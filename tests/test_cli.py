@@ -182,10 +182,10 @@ def _assert_fails_at_line(capsys, tmp_path, t, *argv):
 def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
-    # D0 = 21 is first the fundamental discriminant of t = 5 (25 - 4 = 21),
-    # whose splittings' Euler multipliers are a per-line step
-    _plant_failure(monkeypatch, lfunctions, "euler_multiplier", 21)
-    _assert_fails_at_line(capsys, tmp_path, 5,
+    # t = 6 is the first line with two splittings (36 - 4 = 8 * 2^2), so its
+    # D0 = 8 is the first Euler multiplier taken, a per-line step
+    _plant_failure(monkeypatch, lfunctions, "euler_multiplier", 8)
+    _assert_fails_at_line(capsys, tmp_path, 6,
                           "census", "--x", "3000", "--p", "5", "--threads", str(threads))
 
 

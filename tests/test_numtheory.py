@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -41,6 +42,7 @@ def test_spf_pinned_values(table):
 def test_spf_against_naive(table):
     for n in range(2, 2000):
         assert int(table.spf[n]) == naive_spf(n), n
+    assert table.ints.tolist() == table.spf.tolist()
 
 
 def test_spf_limit_validation():
@@ -83,6 +85,36 @@ def test_factorize_cofactor_path(table):
         factorize(table.limit + 1, table)
     with pytest.raises(ValueError):
         factorize(2**3 * 104729, table)
+
+
+def trial_division(n):
+    out, q = [], 2
+    while q * q <= n:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            out.append((q, e))
+        q += 1 + (q > 2)
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_factorize_matches_trial_division_to_1e5():
+    big = build_spf_table(10**5)
+    for n in range(1, 10**5 + 1):
+        assert factorize(n, big) == trial_division(n), n
+    with pytest.raises(ValueError, match="exceeds the spf table limit"):
+        factorize(10**5 + 1, big)
+
+
+def test_pickled_table_factorizes_identically(table):
+    # every pool task carries the table pickled
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy.limit == table.limit
+    assert all(factorize(n, copy) == factorize(n, table) for n in range(1, table.limit + 1))
+    with pytest.raises(ValueError, match="limit 10000"):
+        factorize(table.limit + 1, copy)
 
 
 def test_divisors(table):
