@@ -411,26 +411,9 @@ def test_backend_fields_change_nothing():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 29])
 def test_genus_rule_matches_cycle_walk(p):
     # each splitting's weight spreads over its classes in the same exact
-    # shares as its class cycles do, on and off t = +-2 (mod p)
-    d0_is_p = set()
-    for t in range(3, 700):
-        splittings = trace_decompositions(t, TABLE)
-        d0 = splittings[-1][1]
-        if d0 == p:
-            d0_is_p.add(t)
-        for m, d in splittings:
-            labels = census._splitting_classes(p, t, m, d0)
-            got = {label: Fraction(n, len(labels)) for label, n in Counter(labels).items()}
-            walked = oracles.cycle_classes(t, m, d, p)
-            want = {label: Fraction(n, len(walked)) for label, n in Counter(walked).items()}
-            assert got == want, (t, m, d)
-    assert d0_is_p >= {5: {3, 7, 18, 47}, 13: {11}}.get(p, set())
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_class_memo_is_the_genus_rule(p):
-    # one memo for every line, so a key that missed what the classes
-    # depend on would hand a later splitting the wrong classes
+    # shares as its class cycles do, on and off t = +-2 (mod p); one class
+    # memo serves every line, so a key that missed what the classes depend
+    # on would hand a later splitting the wrong classes
     label_index = {c.label: i for i, c in enumerate(sl2fp.class_list(p))}
     memo, d0_is_p = {}, set()
     for t in range(3, 700):
@@ -438,9 +421,14 @@ def test_class_memo_is_the_genus_rule(p):
         d0 = splittings[-1][1]
         if d0 == p:
             d0_is_p.add(t)
-        for m, _ in splittings:
-            want = tuple(label_index[label] for label in census._splitting_classes(p, t, m, d0))
-            assert census._class_indices(memo, label_index, p, t, m, d0) == want, (t, m)
+        for m, d in splittings:
+            labels = census._splitting_classes(p, t, m, d0)
+            memoized = census._class_indices(memo, label_index, p, t, m, d0)
+            assert memoized == tuple(label_index[label] for label in labels), (t, m)
+            got = {label: Fraction(n, len(labels)) for label, n in Counter(labels).items()}
+            walked = oracles.cycle_classes(t, m, d, p)
+            want = {label: Fraction(n, len(walked)) for label, n in Counter(walked).items()}
+            assert got == want, (t, m, d)
     assert d0_is_p >= {5: {3, 7, 18, 47}, 13: {11}}.get(p, set())
 
 
