@@ -4,16 +4,19 @@ Subcommands: census (residue-mass series), classes (conjugacy tables),
 by-class (class-resolved census), fit (error exponent from a stored
 series), psi (totals only).
 
-Exit codes: 0 success, 1 a failing trace line (named in one error line,
-with no report written), 2 usage or argument error, 130 interrupted by
-Ctrl-C (the unfinished trace lines named in one line, no report written).
+Each subcommand returns its report as text, or raises; main writes the
+report once, to --out or to stdout.  Exit codes: 0 success; 1 a failing
+trace line (RuntimeError); 2 an option the parser rejects, or a bad
+argument value or file (ValueError or OSError); 130 interrupted by Ctrl-C.
+Past the parser, every failure is one line on stderr ("error: ..." or
+"interrupted: ...") and writes no report.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import sys
 
@@ -23,6 +26,7 @@ from .census import RunConfig, run_census
 from .sl2fp import class_list, class_mass, group_order
 
 CSV_HEADER = "x,p,a,psi_a,psi_pm,predicted,abs_err,rel_err"
+CLASS_FIELDS = ("label", "trace", "size", "centralizer", "mass_num", "mass_den")
 
 
 def _label_str(label) -> str:
@@ -45,14 +49,6 @@ def _checkpoint_grid(x_max: int, count: int) -> tuple[int, ...]:
     return tuple(sorted(pt for pt in pts if pt >= 1))
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-
-
 def _series_doc(results) -> dict:
     cfg = results[0].config
     doc = {
@@ -67,7 +63,6 @@ def _series_doc(results) -> dict:
         "series": [],
     }
     for res in results:
-        p = res.config.p
         rows = [
             {
                 "x": x,
@@ -84,11 +79,11 @@ def _series_doc(results) -> dict:
             for row in xrows
         ]
         totals = [
-            {"x": x, "psi": float(res.psi_total()[i]), "ratio": float(res.psi_total()[i]) / x}
-            for i, x in enumerate(res.config.norm_bounds)
+            {"x": x, "psi": psi, "ratio": psi / x}
+            for x, psi in zip(res.config.norm_bounds, map(float, res.psi_total()))
         ]
         entry = {
-            "p": p,
+            "p": res.config.p,
             "table_limit": res.table_limit,
             "trace_bounds": list(res.trace_bounds),
             "rows": rows,
@@ -122,65 +117,42 @@ def _series_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> str:
     primes = args.p or [5]
     if len(set(primes)) < len(primes):
         raise ValueError("repeated --p in %s" % ", ".join(map(str, primes)))
     xs = _checkpoint_grid(args.x, args.checkpoints)
     results = [run_census(RunConfig(p=p, norm_bounds=xs, workers=args.threads)) for p in primes]
     if args.format == "csv":
-        _write_text(args.out, _series_csv(results))
-    else:
-        _write_text(args.out, json.dumps(_series_doc(results), indent=1) + "\n")
-    return 0
+        return _series_csv(results)
+    return json.dumps(_series_doc(results), indent=1) + "\n"
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args) -> str:
     p = args.p
-    classes = class_list(p)
     masses = class_mass(p)
+    rows = [
+        (_label_str(c.label), c.trace, c.size, c.centralizer,
+         masses[c.label].numerator, masses[c.label].denominator)
+        for c in class_list(p)
+    ]
     if args.format == "json":
         doc = {
             "p": p,
             "group_order": group_order(p),
-            "classes": [
-                {
-                    "label": _label_str(c.label),
-                    "trace": c.trace,
-                    "size": c.size,
-                    "centralizer": c.centralizer,
-                    "mass_num": masses[c.label].numerator,
-                    "mass_den": masses[c.label].denominator,
-                }
-                for c in classes
-            ],
+            "classes": [dict(zip(CLASS_FIELDS, row)) for row in rows],
         }
-        _write_text(args.out, json.dumps(doc, indent=1) + "\n")
-        return 0
+        return json.dumps(doc, indent=1) + "\n"
     if args.format == "csv":
-        lines = ["label,trace,size,centralizer,mass_num,mass_den"]
-        for c in classes:
-            m = masses[c.label]
-            lines.append(
-                "%s,%d,%d,%d,%d,%d"
-                % (_label_str(c.label), c.trace, c.size, c.centralizer, m.numerator, m.denominator)
-            )
-        _write_text(args.out, "\n".join(lines) + "\n")
-        return 0
-    buf = io.StringIO()
-    buf.write("conjugacy classes of SL2(F_%d), order %d\n" % (p, group_order(p)))
-    buf.write("%-16s %6s %10s %12s %12s\n" % ("label", "trace", "size", "centralizer", "mass"))
-    for c in classes:
-        m = masses[c.label]
-        buf.write(
-            "%-16s %6d %10d %12d %8d/%-6d\n"
-            % (_label_str(c.label), c.trace, c.size, c.centralizer, m.numerator, m.denominator)
-        )
-    _write_text(args.out, buf.getvalue())
-    return 0
+        return "".join(",".join(map(str, row)) + "\n" for row in [CLASS_FIELDS, *rows])
+    return (
+        "conjugacy classes of SL2(F_%d), order %d\n" % (p, group_order(p))
+        + "%-16s %6s %10s %12s %12s\n" % ("label", "trace", "size", "centralizer", "mass")
+        + "".join("%-16s %6d %10d %12d %8d/%-6d\n" % row for row in rows)
+    )
 
 
-def _cmd_by_class(args) -> int:
+def _cmd_by_class(args) -> str:
     cfg = RunConfig(
         p=args.p,
         norm_bounds=_checkpoint_grid(args.x, args.checkpoints),
@@ -189,69 +161,51 @@ def _cmd_by_class(args) -> int:
     )
     res = run_census(cfg)
     if args.format == "json":
-        _write_text(args.out, json.dumps(_series_doc([res]), indent=1) + "\n")
-        return 0
+        return json.dumps(_series_doc([res]), indent=1) + "\n"
     rep = class_report(res)
-    buf = io.StringIO()
-    buf.write("class-resolved census, p=%d, x=%d\n" % (rep.p, rep.x))
-    buf.write("%-16s %6s %14s %14s %8s\n" % ("label", "trace", "empirical", "predicted", "ratio"))
-    for row in rep.rows:
-        buf.write(
+    return (
+        "class-resolved census, p=%d, x=%d\n" % (rep.p, rep.x)
+        + "%-16s %6s %14s %14s %8s\n" % ("label", "trace", "empirical", "predicted", "ratio")
+        + "".join(
             "%-16s %6d %14.8f %9d/%-6d %8.4f\n"
-            % (
-                _label_str(row.label),
-                row.trace,
-                row.empirical,
-                row.predicted.numerator,
-                row.predicted.denominator,
-                row.ratio,
-            )
+            % (_label_str(row.label), row.trace, row.empirical,
+               row.predicted.numerator, row.predicted.denominator, row.ratio)
+            for row in rep.rows
         )
-    buf.write(
-        "global constant c=%d (worst relative deviation %.4f)\n"
-        % (rep.constant, rep.worst_rel_dev)
+        + "global constant c=%d (worst relative deviation %.4f)\n" % (rep.constant, rep.worst_rel_dev)
     )
-    _write_text(args.out, buf.getvalue())
-    return 0
 
 
-def _cmd_psi(args) -> int:
+def _cmd_psi(args) -> str:
     xs = _checkpoint_grid(args.x, args.checkpoints)
-    cfg = RunConfig(p=2, norm_bounds=xs, workers=args.threads)
-    res = run_census(cfg)
-    buf = io.StringIO()
-    buf.write("%12s %8s %20s %12s %12s\n" % ("x", "T(x)", "psi", "psi/x", "|psi/x-1|"))
-    totals = res.psi_total()
-    for i, x in enumerate(xs):
-        r = float(totals[i]) / x
-        buf.write("%12d %8d %20.8f %12.8f %12.3e\n" % (x, res.trace_bounds[i], totals[i], r, abs(r - 1)))
-    _write_text(args.out, buf.getvalue())
-    return 0
+    res = run_census(RunConfig(p=2, norm_bounds=xs, workers=args.threads))
+    lines = ["%12s %8s %20s %12s %12s\n" % ("x", "T(x)", "psi", "psi/x", "|psi/x-1|")]
+    for x, t, psi in zip(xs, res.trace_bounds, res.psi_total()):
+        r = float(psi) / x
+        lines.append("%12d %8d %20.8f %12.8f %12.3e\n" % (x, t, psi, r, abs(r - 1)))
+    return "".join(lines)
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> str:
     points_by_p = _load_error_series(args.infile)
     if not points_by_p:
-        print("no usable rows in %s" % args.infile, file=sys.stderr)
-        return 2
+        raise ValueError("no usable rows in %s" % args.infile)
     missing = sorted(set(args.p or ()) - set(points_by_p))
     if missing:
         raise ValueError("%s has no rows for p=%s" % (args.infile, ",".join(map(str, missing))))
-    buf = io.StringIO()
+    lines = []
     for p in sorted(points_by_p):
         if args.p and p not in args.p:
             continue
         try:
             fit = error_exponent_fit(points_by_p[p], min_x=args.min_x)
         except ValueError as exc:
-            print("p=%d: %s" % (p, exc), file=sys.stderr)
-            return 2
-        buf.write(
+            raise ValueError("p=%d: %s" % (p, exc)) from None
+        lines.append(
             "p=%d  beta=%.4f  coeff=%.4g  residual=%.4f  points=%d (dropped %d)\n"
             % (p, fit.beta, fit.coeff, fit.residual, fit.points_used, fit.points_dropped)
         )
-    _write_text(args.out, buf.getvalue())
-    return 0
+    return "".join(lines)
 
 
 def _load_error_series(path: str) -> dict[int, list[tuple[int, float]]]:
@@ -281,7 +235,13 @@ def _load_error_series(path: str) -> dict[int, list[tuple[int, float]]]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later main call.
+
+    It holds no state across parses: the repeatable --p options default to
+    None, so each parse starts a fresh list.
+    """
     parser = argparse.ArgumentParser(
         prog="tracecensus",
         description="Weighted trace census of hyperbolic classes against SL2(F_p) conjugacy data.",
@@ -298,13 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--p", type=int, action="append", help="prime modulus, repeatable (default 5)")
     add_threads(sp)
-    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_census)
 
     sp = sub.add_parser("classes", help="print the conjugacy class table")
     sp.add_argument("--p", type=int, default=5, help="prime modulus (default 5)")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_classes)
 
     sp = sub.add_parser("by-class", help="class-resolved census report")
@@ -313,31 +271,35 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=3, help="prime modulus (default 3)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     add_threads(sp)
-    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_by_class)
 
     sp = sub.add_parser("fit", help="error-exponent fit from a stored census report")
     sp.add_argument("--in", dest="infile", required=True, help="census report path (.csv or .json)")
     sp.add_argument("--p", type=int, action="append", help="restrict to these primes")
     sp.add_argument("--min-x", type=float, default=100.0, help="exclude checkpoints below this (default 100)")
-    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("psi", help="totals only")
     sp.add_argument("--x", type=int, required=True, help="norm bound")
     sp.add_argument("--checkpoints", type=int, default=20, help="geometric grid points (default 20)")
     add_threads(sp)
-    sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_psi)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        return 0
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

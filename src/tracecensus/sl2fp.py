@@ -123,8 +123,7 @@ def predicted_density(p: int, a: int) -> Fraction:
     the mass at -a.  Collapses to 1/(p-1), 1/(p+1) or p/(p^2-1) by case,
     and to 1/3, 2/3 for p = 2, but that simplification lives in the tests.
     """
-    _require_prime(p)
-    return (trace_mass(p, a) + trace_mass(p, -a)) / 4
+    return predicted_densities(p)[a % p]
 
 
 def predicted_densities(p: int) -> list[Fraction]:

@@ -31,11 +31,36 @@ MUTANTS = [
     ("census.py",
      "cls = np.array([[math.fsum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])",
      "cls = np.array([[sum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])"),
+    ("census.py",
+     "    return math.isqrt((x + 1) ** 2 // x)",
+     "    return math.isqrt((x + 2) ** 2 // x)"),
+    ("census.py",
+     "    gs = (1,) if p == 2 or d0 == p else (1, nonresidue(p))",
+     "    gs = (1,) if p == 2 or d0 != p else (1, nonresidue(p))"),
+    # chi(2) is read off D0 mod 8.  Only entries 0, 1, 4 and 5 are reached:
+    # no fundamental D0 is 3 or 7 mod 8 (nor 2 or 6), so flipping entry 3
+    # or 7 is an equivalent mutant that no test can kill, and is left out.
+    ("lfunctions.py",
+     "_CHI_2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)",
+     "_CHI_2 = np.array([0, -1, 0, -1, 0, -1, 0, 1], dtype=np.int8)"),
+    ("lfunctions.py",
+     "_CHI_2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)",
+     "_CHI_2 = np.array([0, 1, 0, -1, 0, 1, 0, 1], dtype=np.int8)"),
+    # -I maps the classes of trace a onto those of trace -a with the same
+    # centralizers, so masses[-a % p] == masses[a] and swapping the two is
+    # an equivalent mutant; a wrong residue index is not.
+    ("sl2fp.py",
+     "    return [(masses[a] + masses[-a % p]) / 4 for a in range(p)]",
+     "    return [(masses[a] + masses[(1 - a) % p]) / 4 for a in range(p)]"),
 ]
 
 TESTS = [
     "tests/test_lfunctions.py::test_cohen_series_rounds_the_exact_sum_of_its_terms_once",
     "tests/test_census.py::test_reduce_rounds_the_exact_sum_of_each_mass_once",
+    "tests/test_census.py::test_trace_bound_pinned",
+    "tests/test_census.py::test_genus_rule_matches_cycle_walk",
+    "tests/test_lfunctions.py::test_chi_columns_match_kronecker_for_any_lengths",
+    "tests/test_sl2fp.py::test_predicted_density_closed_form",
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -127,6 +128,31 @@ def test_classes_csv(capsys):
     assert len(lines) == 1 + 3
 
 
+# The class tables are integers and exact fractions only, so their bytes
+# cannot depend on the platform or on numpy's CPU dispatch.
+CLASSES_SHA256 = {
+    (2, "text"): "1c2e63224f3d4e2b803bc109fce9b56361cc5ab7dd9856b6f9cb68137a8445db",
+    (2, "csv"): "824136b350f0d571fe7ac01c63a63936027562efc433fdec58b28d42ac444b90",
+    (2, "json"): "77120c2ab92e00a380431480fe0e7f6dd3222f2f7f06cdf9ea9b516f839a5c89",
+    (3, "text"): "75ef6822bb08b2ccd846d4774fb7395c0cbb632b59e6d28ff1476ea21826f3f6",
+    (3, "csv"): "41f35f7ce36f8bc9ea3d05d78ae33103e8de7464b3928a86e719d67d2af7fa8f",
+    (3, "json"): "94fbc2cd3b421576bac33157560022b13c63f07ef2d41a28bbed4fd27a24b266",
+    (13, "text"): "53a06820b90bea17c7863162b2ad9e53c52b7c5467db6d11a56c1ec6d9f67443",
+    (13, "csv"): "a8f39944927e7c749fd57ecfc1c1da82097c65b78405995059cb697652bd8c2c",
+    (13, "json"): "2397b45a24b0fbac462e98d660c830f9a48a0db00f7d855ade1ca3bd7ee25d76",
+    (101, "text"): "4f66b1b0bf58391ffcc31e912dafe75eb661227bb974b074aae3aba1d4af4d36",
+    (101, "csv"): "57eeeadb29071ca3bbefd1c186672d6d14f66522a7c8b129c44b98bb4e3af9e1",
+    (101, "json"): "f079c0f736c4446e276e1b793c760c08a09c4c522d5e1a5a5623795cddfc3ecf",
+}
+
+
+@pytest.mark.parametrize("p, fmt", sorted(CLASSES_SHA256))
+def test_classes_bytes_pinned(capsys, p, fmt):
+    code, text, err = run(capsys, "classes", "--p", str(p), "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSES_SHA256[p, fmt]
+
+
 def test_psi_table(capsys):
     code, text, _ = run(capsys, "psi", "--x", "300", "--checkpoints", "2")
     assert code == 0
@@ -156,6 +182,67 @@ def test_fit_roundtrip(capsys, tmp_path):
     assert text == "p=3  beta=%.4f  coeff=%.4g  residual=%.4f  points=%d (dropped %d)\n" % (
         fit.beta, fit.coeff, fit.residual, fit.points_used, fit.points_dropped
     )
+
+
+def _census_report(tmp_path, *argv):
+    path = tmp_path / "series.csv"
+    assert main(["census", "--p", "3", *argv, "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["census", "classes", "by-class", "psi", "fit"])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, command):
+    argv = {
+        "census": ["census", "--x", "300", "--p", "3", "--p", "5", "--checkpoints", "3"],
+        "classes": ["classes", "--p", "7", "--format", "csv"],
+        "by-class": ["by-class", "--x", "300", "--p", "3"],
+        "psi": ["psi", "--x", "300", "--checkpoints", "2"],
+        "fit": ["fit", "--in"],
+    }[command]
+    if command == "fit":
+        argv.append(str(_census_report(tmp_path, "--x", "5000", "--checkpoints", "8")))
+    code, first, err = run(capsys, *argv)
+    assert code == 0 and err == "" and first
+    # the parser is shared across calls, so a second run must not see the first
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == first
+    out = tmp_path / "report"
+    code, text, err = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and text == "" and err == ""
+    assert out.read_bytes() == first.encode()
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli.build_parser.cache_clear()
+    code, text, _ = run(capsys, "census", "--x", "300", "--p", "3", "--checkpoints", "1")
+    assert code == 0 and {row.split(",")[1] for row in text.splitlines()[1:]} == {"3"}
+    # a census without --p after one with it still takes the default p = 5
+    code, text, _ = run(capsys, "census", "--x", "300", "--checkpoints", "1")
+    assert code == 0 and {row.split(",")[1] for row in text.splitlines()[1:]} == {"5"}
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_parser_is_not_built_at_import():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import tracecensus.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_fit_without_usable_rows_is_one_error_line(capsys, tmp_path):
+    report = tmp_path / "header-only.csv"
+    report.write_text(CSV_HEADER + "\n")
+    out = tmp_path / "fit.txt"
+    code, text, err = run(capsys, "fit", "--in", str(report), "--out", str(out))
+    assert code == 2
+    assert err == "error: no usable rows in %s\n" % report
+    assert text == ""
+    assert not out.exists()
 
 
 def _plant_failure(monkeypatch, module, name, bad_arg):
@@ -283,15 +370,13 @@ def test_removed_backend_options_are_usage_errors(capsys):
 
 
 def test_fit_insufficient_points(capsys, tmp_path):
-    out = tmp_path / "short.csv"
-    code, _, _ = run(
-        capsys, "census", "--x", "300", "--p", "3", "--checkpoints", "2",
-        "--out", str(out),
-    )
-    assert code == 0
-    code, _, err = run(capsys, "fit", "--in", str(out))
+    report = _census_report(tmp_path, "--x", "300", "--checkpoints", "2")
+    out = tmp_path / "fit.txt"
+    code, text, err = run(capsys, "fit", "--in", str(report), "--out", str(out))
     assert code == 2
-    assert "insufficient" in err
+    assert err == "error: p=3: insufficient data: 2 usable points, need at least 4\n"
+    assert text == ""
+    assert not out.exists()
 
 
 def test_repeated_prime_is_usage_error(capsys, tmp_path, monkeypatch):
