@@ -10,11 +10,11 @@ quantities whose limits the closed-form conjugacy masses predict.
 Every splitting of one line shares the fundamental discriminant D0 of
 t*t - 4, and h(D) * log(eps_D) = sqrt(D) * L(1, chi_D) is an exact integer
 Euler multiplier times sqrt(D0) * L(1, chi_D0).  So each line is weighed by
-one L-value (Cohen's series, O(sqrt(D0))), and its SL2(F_p) classes by
-t mod p, m and Gauss's genus character, with no forms walked.  The exact
-route (class cycles times units) stays as the oracle, line_weight(D,
-backend="exact").  A splitting's classes depend only on t mod p, m mod p
-and whether D0 = p, so each block classifies a key once (_class_indices).
+one L-value (Cohen's series, O(sqrt(D0))), with no forms walked.  The
+exact route (class cycles times units) stays as the oracle, line_weight(D,
+backend="exact").  Only t = +-2 (mod p) holds more than one SL2(F_p)
+class, so only those lines are split by class, by m mod p and Gauss's
+genus character; any other class's mass is its residue's mass.
 
 Each line's weight is a pure function of t.  run_census cuts the trace
 range into blocks of consecutive lines, weighs each block with one
@@ -132,48 +132,40 @@ class CensusResult:
         return 0.5 * (self.psi + self.psi[:, idx])
 
 
-def _splitting_classes(p: int, t: int, m: int, d0: int) -> tuple[sl2fp.Label, ...]:
+def _shared_residue(p: int, a: int) -> bool:
+    """Whether trace a mod p holds more than one SL2(F_p) class: a = +-2."""
+    return (a - 2) % p == 0 or (a + 2) % p == 0
+
+
+def _splitting_classes(p: int, r: int, mr: int, d0_is_p: bool) -> tuple[sl2fp.Label, ...]:
     """SL2(F_p) classes sharing equally the weight of splitting (m, D) of line t.
 
-    Off t = +-2 (mod p) that is the one class of trace t mod p.  On
-    t = 2s (mod p) the matrix fixing m*(a, b, c) is s(I + N) mod p, central
-    if p | m, else unipotent with chi = (-s m a / p), a a value of the form
-    prime to p.  The genus character (a/p) is trivial if D0 = p and else
-    +1 on half the classes (Cox, Primes of the Form x^2 + ny^2, section 3).
+    For t = 2s (mod p), s = +-1, from r = t mod p, mr = m mod p and whether
+    D0 = p: the matrix fixing m*(a, b, c) is s(I + N) mod p, central if p | m,
+    else unipotent with chi = (-s m a / p), a a value of the form prime to p.
+    Gauss's genus character (a/p) is trivial if D0 = p, else +1 on half the
+    classes (Cox, Primes of the Form x^2 + ny^2, section 3).
     """
-    if (t - 2) % p and (t + 2) % p:
-        return (sl2fp.classify((0, p - 1, 1, t % p), p),)
-    s = 1 if (t - 2) % p == 0 else -1
-    gs = (1,) if p == 2 or d0 == p else (1, nonresidue(p))
-    return tuple(sl2fp.classify((s, 0, m * g, s), p) for g in gs)
+    s = 1 if (r - 2) % p == 0 else -1
+    gs = (1,) if p == 2 or d0_is_p else (1, nonresidue(p))
+    return tuple(sl2fp.classify((s, 0, mr * g, s), p) for g in gs)
 
 
-def _class_indices(memo: dict, label_index: dict, p: int, t: int, m: int,
-                   d0: int) -> tuple[int, ...]:
-    """label_index entries of _splitting_classes(p, t, m, d0), kept in memo.
-
-    The classes depend on t and m only mod p and on D0 only through D0 == p.
-    """
-    key = (t % p, m % p, d0 == p)
-    if key not in memo:
-        memo[key] = tuple(label_index[label] for label in _splitting_classes(p, t, m, d0))
-    return memo[key]
-
-
-def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
-                 lines: range) -> list[tuple[float, list[float]]]:
-    """Weight of each trace line in lines, and its split over label_index.
+def _weigh_block(config: RunConfig, table: SpfTable, lines: range) -> list[tuple[float, dict]]:
+    """Weight of each trace line in lines, and its shares of the classes of trace +-2.
 
     Every splitting D = D0 * f^2 of a line shares D0, so the weight is
     2 sqrt(D0) L(1, chi_D0) times the sum of the splittings' exact Euler
     multipliers: one L-value per line, all of a block's in one
-    cohen_series pass.  With classes, each splitting's share goes in equal
-    parts to its _splitting_classes, read from a per-block memo
-    (_class_indices) and summed per class in integers first.
+    cohen_series pass.  With classes, a line t = +-2 (mod p) gives each
+    splitting's share in equal parts to its _splitting_classes, memoized
+    per block and summed per class label in integers first; any other
+    line goes whole to the one class of its residue and carries no shares.
     A failure is raised again naming its line, or the block's lines if it
     is in the shared series pass, so a run never reports without them.
     """
-    parts, memo = [], {}
+    p, parts = config.p, []
+    classes_of = functools.cache(functools.partial(_splitting_classes, p))
     for t in lines:
         try:
             splittings = trace_decompositions(t, table)
@@ -181,12 +173,12 @@ def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
             m0, d0 = splittings[-1]
             mults = [lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings[:-1]] + [1]
             # twice each class's multiplier sum, so half shares stay integers
-            doubled = [0] * len(label_index)
-            if label_index:
+            doubled = {}
+            if config.resolve_classes and _shared_residue(p, t):
                 for (m, _), mult in zip(splittings, mults):
-                    idx = _class_indices(memo, label_index, config.p, t, m, d0)
-                    for i in idx:
-                        doubled[i] += 2 * mult // len(idx)
+                    labels = classes_of(t % p, m % p, d0 == p)
+                    for label in labels:
+                        doubled[label] = doubled.get(label, 0) + 2 * mult // len(labels)
         except Exception as exc:
             raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
         parts.append((d0, sum(mults), doubled))
@@ -198,7 +190,7 @@ def _weigh_block(config: RunConfig, table: SpfTable, label_index: dict,
     for (d0, mult, doubled), value in zip(parts, series):
         root = math.sqrt(d0)
         lval = value / root  # L(1, chi_D0) rounded as l_value(d0) rounds it
-        rows.append((2.0 * mult * root * lval, [n * root * lval for n in doubled]))
+        rows.append((2.0 * mult * root * lval, {c: n * root * lval for c, n in doubled.items()}))
     return rows
 
 
@@ -219,18 +211,21 @@ def _blocks(t_max: int) -> list[range]:
     return blocks
 
 
-def _reduce(rows: Sequence[tuple[float, list[float]]], tbounds: Sequence[int], p: int,
-            ncls: int) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(rows: Sequence[tuple[float, dict]], tbounds: Sequence[int], p: int,
+            classes: Sequence[sl2fp.ConjClass]) -> tuple[np.ndarray, np.ndarray]:
     """Checkpointed residue and class masses from the line rows of t = 3, 4, ...
 
-    Line weights land in lists of floats, w indexed by t and cw[k] by t - 3
-    for class k, and every mass is one correctly rounded math.fsum over its
-    lines.
+    Line weights and shares land in lists indexed by t, and every mass is
+    one correctly rounded math.fsum over its lines.  A class alone on its
+    trace residue takes that residue's mass; a class of trace +-2 sums its
+    shares, which lie on its residue's lines only.
     """
     w = [0.0] * 3 + [weight for weight, _ in rows]
-    cw = list(zip(*(split for _, split in rows))) or [()] * ncls
+    shares = [{}] * 3 + [split for _, split in rows]
     psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])
-    cls = np.array([[math.fsum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])
+    cls = np.array([[math.fsum(s.get(c.label, 0.0) for s in shares[c.trace : tb + 1 : p])
+                     if _shared_residue(p, c.trace) else psi[i, c.trace] for c in classes]
+                    for i, tb in enumerate(tbounds)])
     return psi, cls
 
 
@@ -287,10 +282,9 @@ def run_census(config: RunConfig) -> CensusResult:
     table = build_spf_table(required_table_limit(config.norm_bounds[-1]))
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
     classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
-    label_index = {c.label: i for i, c in enumerate(classes)}
-    weigh = functools.partial(_weigh_block, config, table, label_index)
+    weigh = functools.partial(_weigh_block, config, table)
     blocks = _blocks(tbounds[-1])
-    rows: list[tuple[float, list[float]]] = []
+    rows: list[tuple[float, dict]] = []
     pool = None
     try:
         if config.workers > 1 and blocks:
@@ -312,7 +306,7 @@ def run_census(config: RunConfig) -> CensusResult:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    psi, cls = _reduce(rows, tbounds, config.p, len(classes))
+    psi, cls = _reduce(rows, tbounds, config.p, classes)
     labels = tuple(c.label for c in classes) if classes else None
     return CensusResult(
         config=config,

@@ -29,14 +29,38 @@ MUTANTS = [
      "psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])",
      "psi = np.array([[sum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])"),
     ("census.py",
-     "cls = np.array([[math.fsum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])",
-     "cls = np.array([[sum(cw[k][: tb - 2]) for k in range(ncls)] for tb in tbounds])"),
+     "    cls = np.array([[math.fsum(s.get(c.label, 0.0) for s in shares[c.trace : tb + 1 : p])",
+     "    cls = np.array([[sum(s.get(c.label, 0.0) for s in shares[c.trace : tb + 1 : p])"),
+    ("census.py",
+     "    shares = [{}] * 3 + [split for _, split in rows]",
+     "    shares = [{}] * 2 + [split for _, split in rows]"),
     ("census.py",
      "    return math.isqrt((x + 1) ** 2 // x)",
      "    return math.isqrt((x + 2) ** 2 // x)"),
     ("census.py",
-     "    gs = (1,) if p == 2 or d0 == p else (1, nonresidue(p))",
-     "    gs = (1,) if p == 2 or d0 != p else (1, nonresidue(p))"),
+     "    gs = (1,) if p == 2 or d0_is_p else (1, nonresidue(p))",
+     "    gs = (1,) if p == 2 or not d0_is_p else (1, nonresidue(p))"),
+    ("census.py",
+     "    s = 1 if (r - 2) % p == 0 else -1",
+     "    s = 1 if (r + 2) % p == 0 else -1"),
+    # the lines and the classes of trace +-2 are picked by one predicate;
+    # each of it and its two uses is mutated on its own
+    ("census.py",
+     "    return (a - 2) % p == 0 or (a + 2) % p == 0",
+     "    return (a - 2) % p == 0 or (a + 1) % p == 0"),
+    ("census.py",
+     "            if config.resolve_classes and _shared_residue(p, t):",
+     "            if config.resolve_classes and _shared_residue(p, t + 1):"),
+    ("census.py",
+     "                     if _shared_residue(p, c.trace) else psi[i, c.trace] for c in classes]",
+     "                     if _shared_residue(p, c.trace + 1) else psi[i, c.trace] for c in classes]"),
+    # a memo key that drops what the classes depend on
+    ("census.py",
+     "                    labels = classes_of(t % p, m % p, d0 == p)",
+     "                    labels = classes_of(t % p, 1, d0 == p)"),
+    ("census.py",
+     "                        doubled[label] = doubled.get(label, 0) + 2 * mult // len(labels)",
+     "                        doubled[label] = doubled.get(label, 0) + mult // len(labels)"),
     # chi(2) is read off D0 mod 8.  Only entries 0, 1, 4 and 5 are reached:
     # no fundamental D0 is 3 or 7 mod 8 (nor 2 or 6), so flipping entry 3
     # or 7 is an equivalent mutant that no test can kill, and is left out.
@@ -59,6 +83,8 @@ TESTS = [
     "tests/test_census.py::test_reduce_rounds_the_exact_sum_of_each_mass_once",
     "tests/test_census.py::test_trace_bound_pinned",
     "tests/test_census.py::test_genus_rule_matches_cycle_walk",
+    "tests/test_census.py::test_only_classes_of_trace_pm2_are_split",
+    "tests/test_census.py::test_every_class_share_matches_cycles_times_units",
     "tests/test_lfunctions.py::test_chi_columns_match_kronecker_for_any_lengths",
     "tests/test_sl2fp.py::test_predicted_density_closed_form",
 ]

@@ -38,21 +38,57 @@ def test_reduce_rounds_the_exact_sum_of_each_mass_once(monkeypatch):
     seen = []
     real = census._reduce
 
-    def spy(rows, tbounds, p, ncls):
-        seen.append((rows, tbounds, real(rows, tbounds, p, ncls)))
-        return seen[-1][2]
+    def spy(rows, tbounds, p, classes):
+        seen.append((rows, tbounds, classes, real(rows, tbounds, p, classes)))
+        return seen[-1][3]
 
     monkeypatch.setattr(census, "_reduce", spy)
     run_census(RunConfig(p=5, norm_bounds=(10**3, 10**4, 10**5), resolve_classes=True))
-    [(rows, tbounds, (psi, cls))] = seen
+    [(rows, tbounds, classes, (psi, cls))] = seen
     lines = list(enumerate(rows, 3))
     for i, tb in enumerate(tbounds):
         for a in range(5):
             exact = sum(Fraction(w) for t, (w, _) in lines if t <= tb and t % 5 == a)
             assert psi[i, a] == float(exact), (tb, a)
-        for k in range(cls.shape[1]):
-            exact = sum(Fraction(split[k]) for t, (_, split) in lines if t <= tb)
+        for k, c in enumerate(classes):
+            # a class alone on its trace residue takes each of its lines whole
+            alone = [other.trace for other in classes].count(c.trace) == 1
+            exact = sum(Fraction(w if alone else split.get(c.label, 0.0))
+                        for t, (w, split) in lines if t <= tb and t % 5 == c.trace)
             assert cls[i, k] == float(exact), (tb, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101, 1009])
+def test_only_classes_of_trace_pm2_are_split(p, monkeypatch):
+    # a class alone on its trace residue has that residue's mass, bit for
+    # bit; only the lines t = +-2 (mod p) carry class shares, and only for
+    # classes of their own residue.  T(1.05e6) = 1024 reaches t = 1007, 1011.
+    seen = []
+    real = census._reduce
+
+    def spy(rows, tbounds, p, classes):
+        seen.append(rows)
+        return real(rows, tbounds, p, classes)
+
+    monkeypatch.setattr(census, "_reduce", spy)
+    classes = sl2fp.class_list(p)
+    for workers in (1, 2):
+        res = run_census(RunConfig(p=p, norm_bounds=(10**3, 10**5, 1_050_000), workers=workers,
+                                   resolve_classes=True))
+        for k, c in enumerate(classes):
+            if [other.trace for other in classes].count(c.trace) == 1:
+                assert res.class_psi[:, k].tobytes() == res.psi[:, c.trace].tobytes(), c.label
+        split_lines = set()
+        for t, (_, split) in enumerate(seen.pop(), 3):
+            if not ((t - 2) % p == 0 or (t + 2) % p == 0):
+                assert split == {}, t
+                continue
+            split_lines.add(t)
+            assert split and {c.trace for c in classes if c.label in split} == {t % p}, t
+            assert set(split) <= {c.label for c in classes}, t
+        want = {t for t in (p - 2, p + 2, 2 * p - 2, 2 * p + 2) if 3 <= t <= res.trace_bounds[-1]}
+        assert split_lines >= want and want
+    assert not seen
 
 
 def test_trace_bound_pinned():
@@ -183,10 +219,9 @@ def test_lines_in_any_order_give_identical_bits(x, p, resolve, data):
     config = RunConfig(p=p, norm_bounds=tuple(sorted(extra | {x})), resolve_classes=resolve)
     tbounds = tuple(trace_bound(xi) for xi in config.norm_bounds)
     classes = sl2fp.class_list(p) if resolve else ()
-    label_index = {c.label: i for i, c in enumerate(classes)}
     order = data.draw(st.permutations(range(3, tbounds[-1] + 1)))
-    rows = {t: census._weigh_block(config, TABLE, label_index, range(t, t + 1))[0] for t in order}
-    psi, cls = census._reduce([rows[t] for t in sorted(rows)], tbounds, p, len(classes))
+    rows = {t: census._weigh_block(config, TABLE, range(t, t + 1))[0] for t in order}
+    psi, cls = census._reduce([rows[t] for t in sorted(rows)], tbounds, p, classes)
     for workers in (1, 2, 3):
         res = run_census(dataclasses.replace(config, workers=workers))
         assert res.trace_bounds == tbounds
@@ -231,7 +266,7 @@ def test_block_series_is_bitwise_l_value_on_every_line_to_1e6():
         splittings = {t: trace_decompositions(t, TABLE) for t in block}
         d0 = {t: s[-1][1] for t, s in splittings.items()}
         series = lfunctions.cohen_series([d0[t] for t in block], TABLE)
-        rows = census._weigh_block(config, TABLE, {}, block)
+        rows = census._weigh_block(config, TABLE, block)
         for t, value, (w, _) in zip(block, series, rows):
             lval = lfunctions.l_value(d0[t], TABLE)
             assert (value / math.sqrt(d0[t])).hex() == lval.hex(), t
@@ -365,19 +400,19 @@ def _weight_by_cycles(t):
     return math.fsum(2.0 * line_weight(d) for _, d in trace_decompositions(t, TABLE))
 
 
-def _weighed_lines(config, label_index):
+def _weighed_lines(config):
     """(t, row) for every line up to the last bound, weighed block by block."""
     for block in census._blocks(trace_bound(config.norm_bounds[-1])):
-        yield from zip(block, census._weigh_block(config, TABLE, label_index, block))
+        yield from zip(block, census._weigh_block(config, TABLE, block))
 
 
 def test_every_line_weight_matches_cycles_times_units():
     config = RunConfig(p=3, norm_bounds=(10**6,))
     worst = 0.0
-    for t, (w, split) in _weighed_lines(config, {}):
+    for t, (w, split) in _weighed_lines(config):
         want = _weight_by_cycles(t)
         worst = max(worst, abs(w - want) / want)
-        assert split == []
+        assert split == {}
     assert worst <= 1e-14
 
 
@@ -410,23 +445,28 @@ def test_backend_fields_change_nothing():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 29])
 def test_genus_rule_matches_cycle_walk(p):
-    # each splitting's weight spreads over its classes in the same exact
-    # shares as its class cycles do, on and off t = +-2 (mod p); one class
-    # memo serves every line, so a key that missed what the classes depend
-    # on would hand a later splitting the wrong classes
-    label_index = {c.label: i for i, c in enumerate(sl2fp.class_list(p))}
-    memo, d0_is_p = {}, set()
+    # on t = +-2 (mod p) each splitting's weight spreads over its classes in
+    # the same exact shares as its class cycles do; off it, every cycle lies
+    # in the one class of trace t mod p, which _reduce gives the residue's
+    # mass.  Each block memoizes the classes under (t mod p, m mod p,
+    # D0 == p), so a key that missed what they depend on would hand a later
+    # splitting the wrong classes: the reduced key must give those of t, m.
+    classes = sl2fp.class_list(p)
+    d0_is_p = set()
     for t in range(3, 700):
         splittings = trace_decompositions(t, TABLE)
         d0 = splittings[-1][1]
         if d0 == p:
             d0_is_p.add(t)
         for m, d in splittings:
-            labels = census._splitting_classes(p, t, m, d0)
-            memoized = census._class_indices(memo, label_index, p, t, m, d0)
-            assert memoized == tuple(label_index[label] for label in labels), (t, m)
-            got = {label: Fraction(n, len(labels)) for label, n in Counter(labels).items()}
             walked = oracles.cycle_classes(t, m, d, p)
+            if not census._shared_residue(p, t):
+                [alone] = [c.label for c in classes if c.trace == t % p]
+                assert set(walked) == {alone}, (t, m, d)
+                continue
+            labels = census._splitting_classes(p, t % p, m % p, d0 == p)
+            assert labels == census._splitting_classes(p, t, m, d0 == p), (t, m)
+            got = {label: Fraction(n, len(labels)) for label, n in Counter(labels).items()}
             want = {label: Fraction(n, len(walked)) for label, n in Counter(walked).items()}
             assert got == want, (t, m, d)
     assert d0_is_p >= {5: {3, 7, 18, 47}, 13: {11}}.get(p, set())
@@ -435,11 +475,15 @@ def test_genus_rule_matches_cycle_walk(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_every_class_share_matches_cycles_times_units(p):
     config = RunConfig(p=p, norm_bounds=(10**6,), resolve_classes=True)
-    label_index = {c.label: i for i, c in enumerate(sl2fp.class_list(p))}
+    classes = sl2fp.class_list(p)
+    label_index = {c.label: i for i, c in enumerate(classes)}
     worst = 0.0
-    for t, (_, split) in _weighed_lines(config, label_index):
+    for t, (w, split) in _weighed_lines(config):
         want = oracles.class_split_by_cycles(t, p, label_index, TABLE)
-        for got, ref in zip(split, want):
+        # off t = +-2 (mod p) the line goes whole to the one class of its residue
+        shared = census._shared_residue(p, t)
+        for c, ref in zip(classes, want):
+            got = split.get(c.label, 0.0) if shared else (w if c.trace == t % p else 0.0)
             assert (got == 0.0) == (ref == 0.0), t
             worst = max(worst, abs(got - ref) / ref if ref else 0.0)
     assert worst <= 1e-14
