@@ -7,14 +7,14 @@ primitive reduced cycles of discriminant D and eps_D is the fundamental
 totally positive unit.  The per-residue totals divided by x are the
 quantities whose limits the closed-form conjugacy masses predict.
 
-Every splitting of one line shares the fundamental discriminant D0 of
-t*t - 4, and h(D) * log(eps_D) = sqrt(D) * L(1, chi_D) is an exact integer
-Euler multiplier times sqrt(D0) * L(1, chi_D0).  So each line is weighed by
-one L-value (Cohen's series, O(sqrt(D0))), with no forms walked.  The
-exact route (class cycles times units) stays as the oracle, line_weight(D,
-backend="exact").  Only t = +-2 (mod p) holds more than one SL2(F_p)
-class, so only those lines are split by class, by m mod p and Gauss's
-genus character; any other class's mass is its residue's mass.
+With t*t - 4 = D0 * F^2, D0 fundamental, the splittings are D = D0 * f^2
+for f | F, and h(D) * log(eps_D) = sqrt(D) * L(1, chi_D) is an exact Euler
+multiplier mult(f) times sqrt(D0) * L(1, chi_D0).  sum_{f | F} mult(f) is
+one Euler product over q^k || F, and the line's sum is sqrt(t*t - 4) *
+L(1, t*t - 4) with Zagier's L(s, delta) (1977), the Kuznetsov-Bykovskii
+summand Soundararajan and Young (2013) start from: one L-value per line, no
+forms walked (line_weight(D, backend="exact") is the oracle).  Only t = +-2
+(mod p) holds more than one SL2(F_p) class to split a line between.
 
 Each line's weight is a pure function of t.  run_census cuts the trace
 range into blocks of consecutive lines, weighs each block with one
@@ -137,51 +137,45 @@ def _shared_residue(p: int, a: int) -> bool:
     return (a - 2) % p == 0 or (a + 2) % p == 0
 
 
-def _splitting_classes(p: int, r: int, mr: int, d0_is_p: bool) -> tuple[sl2fp.Label, ...]:
-    """SL2(F_p) classes sharing equally the weight of splitting (m, D) of line t.
+def _weigh_line(t: int, table: SpfTable, p: int, labels: dict | None = None) -> tuple[int, int, dict]:
+    """D0 of line t, its Euler multiplier sum total, and with labels twice its class shares.
 
-    For t = 2s (mod p), s = +-1, from r = t mod p, mr = m mod p and whether
-    D0 = p: the matrix fixing m*(a, b, c) is s(I + N) mod p, central if p | m,
-    else unipotent with chi = (-s m a / p), a a value of the form prime to p.
-    Gauss's genus character (a/p) is trivial if D0 = p, else +1 on half the
-    classes (Cox, Primes of the Form x^2 + ny^2, section 3).
+    On t = 2s (mod p) the matrix fixing m*(a, b, c) is s(I + N): central if
+    p | m, else unipotent with chi = (-s m a / p), split evenly by the genus
+    character (a/p) unless D0 = p (Cox, Primes of the Form x^2 + ny^2, 3).
+    The central class takes 2 (total - kept), kept summing over p not
+    dividing m, and the unipotent ones kept +- twist, twist = F if D0 = p.
     """
-    s = 1 if (r - 2) % p == 0 else -1
-    gs = (1,) if p == 2 or d0_is_p else (1, nonresidue(p))
-    return tuple(sl2fp.classify((s, 0, mr * g, s), p) for g in gs)
+    F, d0 = trace_decompositions(t, table)[-1]  # (F, D0) is the last splitting
+    total = kept = 1
+    for q, k in factorize(F, table):
+        c = lfunctions.euler_terms(d0, q, k)
+        total *= sum(c)
+        kept *= c[k] if q == p else sum(c)
+    doubled = {}
+    if labels is not None and _shared_residue(p, t):
+        s = 1 if (t - 2) % p == 0 else -1
+        if s not in labels:  # s(I + N) for N = (0, 0, g, 0), g = 0, 1 and a nonresidue
+            labels[s] = [sl2fp.classify((s, 0, g, s), p) for g in (0, 1, nonresidue(p) if p > 2 else 1)]
+        twist = F if d0 == p else 0
+        for label, n in zip(labels[s], (2 * (total - kept), kept + twist, kept - twist)):
+            if n:
+                doubled[label] = doubled.get(label, 0) + n
+    return d0, total, doubled
 
 
 def _weigh_block(config: RunConfig, table: SpfTable, lines: range) -> list[tuple[float, dict]]:
-    """Weight of each trace line in lines, and its shares of the classes of trace +-2.
+    """Each line's weight and class shares: _weigh_line's 2 total and doubled, times sqrt(D0) L(1, chi_D0).
 
-    Every splitting D = D0 * f^2 of a line shares D0, so the weight is
-    2 sqrt(D0) L(1, chi_D0) times the sum of the splittings' exact Euler
-    multipliers: one L-value per line, all of a block's in one
-    cohen_series pass.  With classes, a line t = +-2 (mod p) gives each
-    splitting's share in equal parts to its _splitting_classes, memoized
-    per block and summed per class label in integers first; any other
-    line goes whole to the one class of its residue and carries no shares.
-    A failure is raised again naming its line, or the block's lines if it
-    is in the shared series pass, so a run never reports without them.
+    All of a block's L-values come from one cohen_series pass.  A failure is
+    raised again naming its line, or the block's lines if in that pass.
     """
-    p, parts = config.p, []
-    classes_of = functools.cache(functools.partial(_splitting_classes, p))
+    parts, labels = [], {} if config.resolve_classes else None
     for t in lines:
         try:
-            splittings = trace_decompositions(t, table)
-            # t*t - 4 = D0 * F^2 makes (F, D0) a splitting, the last, of multiplier 1
-            m0, d0 = splittings[-1]
-            mults = [lfunctions.euler_multiplier(d0, m0 // m, table) for m, _ in splittings[:-1]] + [1]
-            # twice each class's multiplier sum, so half shares stay integers
-            doubled = {}
-            if config.resolve_classes and _shared_residue(p, t):
-                for (m, _), mult in zip(splittings, mults):
-                    labels = classes_of(t % p, m % p, d0 == p)
-                    for label in labels:
-                        doubled[label] = doubled.get(label, 0) + 2 * mult // len(labels)
+            parts.append(_weigh_line(t, table, config.p, labels))
         except Exception as exc:
             raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
-        parts.append((d0, sum(mults), doubled))
     try:
         series = lfunctions.cohen_series([d0 for d0, _, _ in parts], table)
     except Exception as exc:

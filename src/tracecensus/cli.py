@@ -227,7 +227,7 @@ def _load_error_series(path: str) -> dict[int, list[tuple[int, float]]]:
                 by_key[key] = max(by_key.get(key, 0.0), float(row["abs_err"]) * key[1])
         except KeyError as exc:
             raise ValueError("%s has no %s field" % (path, exc)) from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError("%s is not a census series: %s" % (path, exc)) from None
     out: dict[int, list[tuple[int, float]]] = {}
     for (p, x), err in sorted(by_key.items()):

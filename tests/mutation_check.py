@@ -38,29 +38,44 @@ MUTANTS = [
      "    return math.isqrt((x + 1) ** 2 // x)",
      "    return math.isqrt((x + 2) ** 2 // x)"),
     ("census.py",
-     "    gs = (1,) if p == 2 or d0_is_p else (1, nonresidue(p))",
-     "    gs = (1,) if p == 2 or not d0_is_p else (1, nonresidue(p))"),
+     "        twist = F if d0 == p else 0",
+     "        twist = F if d0 != p else 0"),
+    # twist is the product of sum_j c_j (q/p)^(k - j); with (q/p) -> 1 that
+    # product is kept, the sum over every splitting with p not dividing m
     ("census.py",
-     "    s = 1 if (r - 2) % p == 0 else -1",
-     "    s = 1 if (r + 2) % p == 0 else -1"),
+     "        twist = F if d0 == p else 0",
+     "        twist = kept if d0 == p else 0"),
+    ("census.py",
+     "        kept *= c[k] if q == p else sum(c)",
+     "        kept *= sum(c)"),
+    ("census.py",
+     "        s = 1 if (t - 2) % p == 0 else -1",
+     "        s = 1 if (t + 2) % p == 0 else -1"),
     # the lines and the classes of trace +-2 are picked by one predicate;
     # each of it and its two uses is mutated on its own
     ("census.py",
      "    return (a - 2) % p == 0 or (a + 2) % p == 0",
      "    return (a - 2) % p == 0 or (a + 1) % p == 0"),
     ("census.py",
-     "            if config.resolve_classes and _shared_residue(p, t):",
-     "            if config.resolve_classes and _shared_residue(p, t + 1):"),
+     "    if labels is not None and _shared_residue(p, t):",
+     "    if labels is not None and _shared_residue(p, t + 1):"),
     ("census.py",
      "                     if _shared_residue(p, c.trace) else psi[i, c.trace] for c in classes]",
      "                     if _shared_residue(p, c.trace + 1) else psi[i, c.trace] for c in classes]"),
-    # a memo key that drops what the classes depend on
+    # a memo key that drops what the classes depend on, the sign s
     ("census.py",
-     "                    labels = classes_of(t % p, m % p, d0 == p)",
-     "                    labels = classes_of(t % p, 1, d0 == p)"),
+     "        if s not in labels:",
+     "        if not labels:"),
     ("census.py",
-     "                        doubled[label] = doubled.get(label, 0) + 2 * mult // len(labels)",
-     "                        doubled[label] = doubled.get(label, 0) + mult // len(labels)"),
+     "        for label, n in zip(labels[s], (2 * (total - kept), kept + twist, kept - twist)):",
+     "        for label, n in zip(labels[s], ((total - kept), kept + twist, kept - twist)):"),
+    # the Euler terms c_j = q^(j-1) (q - chi_D0(q))
+    ("lfunctions.py",
+     "    return [1] + [q ** (j - 1) * step for j in range(1, k + 1)]",
+     "    return [1] + [step for j in range(1, k + 1)]"),
+    ("lfunctions.py",
+     "    step = q - kronecker(D0, q)",
+     "    step = q - 1"),
     # chi(2) is read off D0 mod 8.  Only entries 0, 1, 4 and 5 are reached:
     # no fundamental D0 is 3 or 7 mod 8 (nor 2 or 6), so flipping entry 3
     # or 7 is an equivalent mutant that no test can kill, and is left out.
@@ -83,6 +98,7 @@ TESTS = [
     "tests/test_census.py::test_reduce_rounds_the_exact_sum_of_each_mass_once",
     "tests/test_census.py::test_trace_bound_pinned",
     "tests/test_census.py::test_genus_rule_matches_cycle_walk",
+    "tests/test_lfunctions.py::test_euler_multiplier_is_the_exact_product",
     "tests/test_census.py::test_only_classes_of_trace_pm2_are_split",
     "tests/test_census.py::test_every_class_share_matches_cycles_times_units",
     "tests/test_lfunctions.py::test_chi_columns_match_kronecker_for_any_lengths",

@@ -22,7 +22,7 @@ from tracecensus.census import (
     trace_bound,
     trace_decompositions,
 )
-from tracecensus.numtheory import build_spf_table
+from tracecensus.numtheory import build_spf_table, kronecker
 from tracecensus.quadforms import class_number_and_reps
 from tracecensus import sl2fp
 
@@ -445,31 +445,51 @@ def test_backend_fields_change_nothing():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 29])
 def test_genus_rule_matches_cycle_walk(p):
-    # on t = +-2 (mod p) each splitting's weight spreads over its classes in
-    # the same exact shares as its class cycles do; off it, every cycle lies
-    # in the one class of trace t mod p, which _reduce gives the residue's
-    # mass.  Each block memoizes the classes under (t mod p, m mod p,
-    # D0 == p), so a key that missed what they depend on would hand a later
-    # splitting the wrong classes: the reduced key must give those of t, m.
+    # off t = +-2 (mod p) every cycle lies in the one class of trace t mod p,
+    # which _reduce gives the residue's mass, and the line carries no shares;
+    # on it, half of each line's doubled shares is, exactly, the sum over its
+    # splittings of their Euler multipliers spread over their cycles'
+    # classes.  One label memo serves every line, as in a block, so a memo
+    # keyed on less than the sign s would hand a later line the wrong classes.
     classes = sl2fp.class_list(p)
-    d0_is_p = set()
+    labels, d0_is_p, p_divides_f = {}, set(), set()
     for t in range(3, 700):
         splittings = trace_decompositions(t, TABLE)
-        d0 = splittings[-1][1]
+        f, d0 = splittings[-1]
         if d0 == p:
             d0_is_p.add(t)
+            if f % p == 0:
+                p_divides_f.add(t)
+        want = Counter()
         for m, d in splittings:
             walked = oracles.cycle_classes(t, m, d, p)
             if not census._shared_residue(p, t):
                 [alone] = [c.label for c in classes if c.trace == t % p]
                 assert set(walked) == {alone}, (t, m, d)
                 continue
-            labels = census._splitting_classes(p, t % p, m % p, d0 == p)
-            assert labels == census._splitting_classes(p, t, m, d0 == p), (t, m)
-            got = {label: Fraction(n, len(labels)) for label, n in Counter(labels).items()}
-            want = {label: Fraction(n, len(walked)) for label, n in Counter(walked).items()}
-            assert got == want, (t, m, d)
-    assert d0_is_p >= {5: {3, 7, 18, 47}, 13: {11}}.get(p, set())
+            mult = lfunctions.euler_multiplier(d0, f // m, TABLE)
+            for label in walked:
+                want[label] += Fraction(mult, len(walked))
+        _, _, doubled = census._weigh_line(t, TABLE, p, labels)
+        assert {label: Fraction(n, 2) for label, n in doubled.items()} == want, t
+    # the lines with D0 = p, where the genus character is trivial; on
+    # t = 123, 123^2 - 4 = 5 * 55^2, p also divides F
+    assert d0_is_p >= {5: {3, 7, 18, 47, 123}, 13: {11}}.get(p, set())
+    assert p_divides_f >= {5: {123}}.get(p, set())
+
+
+def test_line_multiplier_sum_is_one_euler_product():
+    # for every t < 20000, with t*t - 4 = D0 * F^2: the splittings' Euler
+    # multipliers sum to the product of euler_terms' local sums over q^k || F,
+    # and weighted by chi_D0(m) they sum to F, the twist of a line's classes
+    # when D0 = p
+    table = build_spf_table(20016)
+    for t in range(3, 20000):
+        splittings = trace_decompositions(t, table)
+        f, d0 = splittings[-1]
+        mults = {m: lfunctions.euler_multiplier(d0, f // m, table) for m, _ in splittings}
+        assert census._weigh_line(t, table, 5) == (d0, sum(mults.values()), {}), t
+        assert sum(n * kronecker(d0, m) for m, n in mults.items()) == f, t
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -270,8 +270,8 @@ def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, threads
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
     # t = 6 is the first line with two splittings (36 - 4 = 8 * 2^2), so its
-    # D0 = 8 is the first Euler multiplier taken, a per-line step
-    _plant_failure(monkeypatch, lfunctions, "euler_multiplier", 8)
+    # D0 = 8 is the first to take an Euler factor, a per-line step
+    _plant_failure(monkeypatch, lfunctions, "euler_terms", 8)
     _assert_fails_at_line(capsys, tmp_path, 6,
                           "census", "--x", "3000", "--p", "5", "--threads", str(threads))
 
@@ -352,7 +352,9 @@ def test_fit_names_primes_missing_from_the_report(capsys, tmp_path):
     ("no-abs-err.json", '{"series": [{"p": 3, "rows": [{"x": 100, "a": 0}]}]}', "has no 'abs_err' field"),
     ("list.json", "[1, 2]", "is not a census series: "),
     ("short-row.csv", "x,p,a,abs_err\n100,3\n", "is not a census series: "),
-], ids=["csv-without-p", "json-row-without-abs-err", "json-list", "csv-short-row"])
+    ("text-abs-err.csv", "x,p,a,abs_err\n100,3,0,abc\n",
+     "is not a census series: could not convert string to float: 'abc'"),
+], ids=["csv-without-p", "json-row-without-abs-err", "json-list", "csv-short-row", "csv-text-abs-err"])
 def test_fit_on_a_malformed_report_is_one_error_line(capsys, tmp_path, name, body, complaint):
     path = tmp_path / name
     path.write_text(body)
