@@ -92,8 +92,9 @@ def error_exponent_fit(points, min_x: float = 100.0) -> ExponentFit:
     Points with err <= 0 or x < min_x are dropped (and counted); fewer
     than 4 surviving points is an error.
     """
+    points = list(points)
     usable = [(x, e) for x, e in points if e > 0 and x >= min_x]
-    dropped = len(list(points)) - len(usable)
+    dropped = len(points) - len(usable)
     if len(usable) < 4:
         raise ValueError(
             "insufficient data: %d usable points, need at least 4" % len(usable)

@@ -1,11 +1,9 @@
-"""Sieve-backed factorization, Kronecker symbol, modular square roots.
+"""Sieve-backed factorization, Kronecker symbol, primality, non-residues.
 
 Everything here is exact integer arithmetic.  The smallest-prime-factor table
 is the one shared piece of state: build it once, sized a little past the
 largest trace you will census, and every t-2 / t+2 factorization is a table
-walk instead of trial division.  Square roots modulo p^k are Tonelli-Shanks
-mod p, then one Hensel lifting rule per power of p (Cohen, GTM 138, 1.5);
-only the cycle oracle quadforms.class_cycles needs them.
+walk instead of trial division.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ __all__ = [
     "is_square",
     "is_probable_prime",
     "nonresidue",
-    "sqrt_mod_prime",
-    "sqrt_mod_prime_power",
 ]
 
 
@@ -188,66 +184,3 @@ def nonresidue(p: int) -> int:
     while kronecker(n, p) != -1:
         n += 1
     return n
-
-
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """Smallest square root of a modulo a prime p, or None.
-
-    Tonelli-Shanks with the least non-residue, so the result is
-    reproducible.  Returns r with r^2 = a (mod p) and r <= p - r.
-    """
-    a %= p
-    if a == 0 or p == 2:
-        return a
-    if kronecker(a, p) != 1:
-        return None
-    # write p-1 = q * 2^s with q odd
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    c = pow(nonresidue(p), q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        # find least i with t^(2^i) = 1
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return min(r, p - r)
-
-
-def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
-    """All square roots of a modulo p^k, sorted.
-
-    Start from the roots mod p and lift one power at a time: for j >= 1,
-    (r + i p^j)^2 = r^2 + 2 r i p^j (mod p^(j+1)).  A root r mod p^j with
-    p not dividing 2r lifts by the one i solving 2 r i = (a - r^2)/p^j
-    (mod p); one with p | 2r lifts by all p values of i or by none.  The
-    same rule covers p | a and p = 2.
-    """
-    if k == 0:
-        return [0]
-    r = sqrt_mod_prime(a, p)
-    roots = [] if r is None else sorted({r, -r % p})
-    pj = p
-    for _ in range(1, k):
-        lifted = []
-        for r in roots:
-            c = (a - r * r) // pj  # exact: r is a root mod p^j
-            if (2 * r) % p:
-                lifted.append(r + c * pow(2 * r, -1, p) % p * pj)
-            elif c % p == 0:
-                lifted.extend(range(r, pj * p, pj))
-        roots = lifted
-        pj *= p
-    return sorted(roots)

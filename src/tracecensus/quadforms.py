@@ -6,10 +6,10 @@ ones: proper equivalence under SL2(Z), which is what matches counting
 conjugacy classes of matrices and norm-one units of the order O_D.
 
 class_cycles walks rho from the reduced forms with 4a^2 < D, whose b are
-square roots of D mod 4a lifted from prime powers: O(sqrt(D)) values of a
-in place of the O(D) b-window scan of reduced_forms, which stays as its
-oracle.  The tests check that the walked cycles cover exactly the scanned
-forms, so neither can silently drift.
+square roots of D mod 4a, glued by CRT from residue scans modulo prime
+powers: O(sqrt(D)) values of a in place of the O(D) b-window scan of
+reduced_forms, which stays as its oracle.  The tests check that the walked
+cycles cover exactly the scanned forms, so neither can silently drift.
 
 fundamental_unit walks one more cycle with the same walker, that of the
 principal form: the product of its rho-step substitutions is the
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .numtheory import is_probable_prime, is_square, sqrt_mod_prime_power
+from .numtheory import is_probable_prime, is_square
 
 Form = tuple[int, int, int]
 
@@ -114,10 +114,12 @@ def class_cycles(D: int) -> list[list[Form]]:
     |a c| = (D - b^2) / 4 < D / 4, so every cycle holds a form with
     4a^2 < D.  The walks start from those forms only: for each a <= s/2
     (s = isqrt(D)) the b with b^2 = D (mod 4a) come from roots modulo the
-    prime powers of 4a, each solved once per call and glued by CRT.  Every
-    rho step is checked to stay reduced.  Each cycle is listed from its
-    smallest form, and the cycles in ascending order of it; their union is
-    reduced_forms(D), which the tests check.
+    prime powers of 4a, glued by CRT.  Each prime power's roots are found
+    once per call by scanning half its residues, about D / (8 log D) steps
+    in all: up to a third of the call for D <= 10^6, most of it beyond.
+    Every rho step is checked to stay reduced.  Each cycle is listed from
+    its smallest form, and the cycles in ascending order of it; their
+    union is reduced_forms(D), which the tests check.
     """
     require_discriminant(D)
     s = math.isqrt(D)
@@ -133,8 +135,7 @@ def class_cycles(D: int) -> list[list[Form]]:
         mod = 2 << v
         roots = local.get(2 * mod)
         if roots is None:
-            roots = sorted({r % mod for r in sqrt_mod_prime_power(D, 2, v + 2)})
-            local[2 * mod] = roots
+            roots = local[2 * mod] = [r for r in range(mod) if (r * r - D) % (2 * mod) == 0]
         n = a >> v
         while n > 1 and roots:
             q = spf[n]
@@ -145,7 +146,8 @@ def class_cycles(D: int) -> list[list[Form]]:
             pk = q**k
             lr = local.get(pk)
             if lr is None:
-                lr = local[pk] = sqrt_mod_prime_power(D, q, k)
+                d = D % pk  # roots pair up as r, -r, so half the residues suffice
+                lr = local[pk] = [x for r in range(pk // 2 + 1) if r * r % pk == d for x in {r, -r % pk}]
             inv = pow(mod, -1, pk)
             roots = [r + mod * ((l - r) * inv % pk) for r in roots for l in lr]
             mod *= pk

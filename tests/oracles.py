@@ -6,12 +6,12 @@ census weights from a discriminant scan, conjugacy classes from an orbit
 partition of the whole group, and L-values from the digamma closed form over
 one full period of chi (l_value_digamma) and from direct partial sums of
 chi(n)/n up to a proven tail bound (l_value_truncated).  Two oracles start
-from the package's b-window scan, itself the oracle for class_cycles'
-root-lifted starts: scan_class_cycles partitions it with rho, and
-class_count_bfs into components under S, T and T^-1, knowing nothing of
-rho.  The class split of a trace line walks the package's class cycles
-and recovers each unit (class_split_by_cycles), knowing nothing of genus
-characters.  Keep these dumb.
+from the package's b-window scan, itself the oracle for the starts that
+class_cycles glues from roots modulo prime powers: scan_class_cycles
+partitions it with rho, and class_count_bfs into components under S, T
+and T^-1, knowing nothing of rho.  The class split of a trace line walks
+the package's class cycles and recovers each unit (class_split_by_cycles),
+knowing nothing of genus characters.  Keep these dumb.
 """
 
 import math

@@ -44,12 +44,13 @@ def test_exponent_fit_oscillatory():
     assert fit.residual > 0
 
 
-def test_exponent_fit_drops_small_x_and_nonpositive():
+@pytest.mark.parametrize("wrap", [list, iter], ids=["list", "iter"])
+def test_exponent_fit_drops_small_x_and_nonpositive(wrap):
     pts = planted_series(0.6, n=10)
     pts.append((30.0, 99.0))
     pts.append((5000.0, 0.0))
     pts.append((7000.0, -1.0))
-    fit = error_exponent_fit(pts, min_x=100.0)
+    fit = error_exponent_fit(wrap(pts), min_x=100.0)
     assert fit.points_used == 10
     assert fit.points_dropped == 3
     assert abs(fit.beta - 0.6) < 1e-9

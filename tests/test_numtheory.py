@@ -14,8 +14,6 @@ from tracecensus.numtheory import (
     is_probable_prime,
     is_square,
     kronecker,
-    sqrt_mod_prime,
-    sqrt_mod_prime_power,
 )
 
 
@@ -184,42 +182,3 @@ def test_is_probable_prime_small():
 def test_is_probable_prime_carmichael():
     for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
         assert not is_probable_prime(n)
-
-
-def test_sqrt_mod_prime_basic():
-    assert sqrt_mod_prime(4, 7) == 2
-    assert sqrt_mod_prime(2, 7) in (3, 4)
-    assert sqrt_mod_prime(3, 7) is None
-    assert sqrt_mod_prime(0, 13) == 0
-
-
-def test_sqrt_mod_prime_exhaustive():
-    for p in (2, 3, 5, 7, 11, 13, 17, 101, 103, 997):  # both 1 and 3 mod 4
-        residues = {(x * x) % p for x in range(p)}
-        for a in range(p):
-            r = sqrt_mod_prime(a, p)
-            if a in residues:
-                assert r is not None and (r * r - a) % p == 0, (a, p)
-                assert r <= p - r
-            else:
-                assert r is None, (a, p)
-
-
-def test_sqrt_mod_prime_power_exhaustive():
-    for p, kmax in ((2, 9), (3, 6), (5, 3), (7, 2), (11, 3), (13, 2)):
-        for k in range(1, kmax + 1):
-            pk = p**k
-            brute = {a: [] for a in range(pk)}
-            for x in range(pk):
-                brute[x * x % pk].append(x)
-            for a in range(pk):
-                got = sqrt_mod_prime_power(a, p, k)
-                assert got == brute[a], (a, p, k)
-                assert sqrt_mod_prime_power(a - 3 * pk, p, k) == got, (a - 3 * pk, p, k)
-    # past brute force: every root squares to a, and a unit has 1 + (a/p) of them
-    p = 9973
-    for a in (*range(-300, 300), *range(p, 20 * p, p), p * p, -p * p):
-        got = sqrt_mod_prime_power(a, p, 2)
-        assert all((r * r - a) % (p * p) == 0 for r in got), a
-        want = 1 + kronecker(a, p) if a % p else (0 if a % (p * p) else p)
-        assert len(set(got)) == len(got) == want, a

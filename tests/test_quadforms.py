@@ -65,15 +65,15 @@ def _walked_forms(D):
 
 
 def test_forms_match_root_route():
-    # the cycles walked from root-lifted starts cover exactly the scanned forms
+    # the cycles walked from the prime-power root starts cover exactly the scanned forms
     near_1e5 = small_discs(99_800, 100_300)[:200]
     assert len(near_1e5) == 200
     for D in small_discs(5, 300) + [997 * 4 + 1, 3989, 4001] + near_1e5:
         assert _walked_forms(D) == reduced_forms(D), D
 
 
-def _lifting_shapes():
-    """Discriminants up to 3e5, forcing the shapes root lifting must handle."""
+def _root_shapes():
+    """Discriminants up to 3e5, forcing high powers of 2 and of odd q | D into 4a."""
     bound = 3 * 10**5
     odd_primes = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101])
     return st.one_of(
@@ -87,7 +87,7 @@ def _lifting_shapes():
 
 
 @settings(max_examples=150, deadline=None)
-@given(_lifting_shapes())
+@given(_root_shapes())
 def test_root_route_covers_scan(D):
     assume(valid_discriminant(D))
     assert _walked_forms(D) == reduced_forms(D)
