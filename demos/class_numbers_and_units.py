@@ -8,15 +8,10 @@ character side.
 
 import math
 
-from tracecensus import (
-    build_spf_table,
-    class_number,
-    fundamental_unit,
-    line_weight,
-    reduced_forms,
-    valid_discriminant,
-)
+from tracecensus import build_spf_table, valid_discriminant
+from tracecensus.census import line_weight
 from tracecensus.lfunctions import l_value
+from tracecensus.quadforms import class_number, fundamental_unit, reduced_forms
 
 SHOWCASE = [5, 8, 12, 13, 40, 45, 60, 316, 1596]
 

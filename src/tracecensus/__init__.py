@@ -19,7 +19,6 @@ from .analysis import (
 from .census import (
     CensusResult,
     RunConfig,
-    line_weight,
     required_table_limit,
     run_census,
     trace_bound,
@@ -27,14 +26,7 @@ from .census import (
 )
 from . import lfunctions  # noqa: F401
 from .numtheory import SpfTable, build_spf_table, factorize, kronecker
-from .quadforms import (
-    class_number,
-    class_number_and_reps,
-    fundamental_unit,
-    pell_from_known,
-    reduced_forms,
-    valid_discriminant,
-)
+from .quadforms import valid_discriminant
 from .sl2fp import (
     ConjClass,
     class_list,
@@ -57,21 +49,15 @@ __all__ = [
     "build_spf_table",
     "class_list",
     "class_mass",
-    "class_number",
-    "class_number_and_reps",
     "class_report",
     "classify",
     "density_error_series",
     "density_report",
     "error_exponent_fit",
     "factorize",
-    "fundamental_unit",
     "group_order",
     "kronecker",
-    "line_weight",
-    "pell_from_known",
     "predicted_density",
-    "reduced_forms",
     "required_table_limit",
     "run_census",
     "trace_bound",

@@ -227,9 +227,8 @@ def required_table_limit(x: int, backend: str = "exact") -> int:
     """Spf table size covering every line up to bound x.
 
     4T + 16 reaches past every t +- 2 and every conductor, and past the
-    isqrt(D0) trial division and the about 3.7 sqrt(D0) <= 3.7 T character
-    values of the L-value.  backend is accepted for the benchmark and
-    changes nothing.
+    about 3.7 sqrt(D0) <= 3.7 T character values of each line's L-value
+    series.  backend is accepted for the benchmark and changes nothing.
     """
     return max(4 * trace_bound(x) + 16, 64)
 

@@ -31,12 +31,17 @@ __all__ = [
 class SpfTable:
     """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0).
 
-    ints holds the same values as plain ints, for factorize's table walk.
+    ints holds the values once, as plain ints for factorize's table walk;
+    spf is a numpy view of the same buffer, made on first use, so a fresh
+    table pickles as ints alone.
     """
 
     limit: int
-    spf: np.ndarray = field(repr=False)
     ints: array = field(repr=False)
+
+    @functools.cached_property
+    def spf(self) -> np.ndarray:
+        return np.frombuffer(self.ints, dtype=np.int64)
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
@@ -48,13 +53,17 @@ class SpfTable:
 def build_spf_table(limit: int) -> SpfTable:
     """Sieve smallest prime factors for every n <= limit.
 
-    limit must be >= 2.  Uses the classical refinement that a composite
-    i*k with k < i already got its factor from k, so each prime only
-    writes from i*i upward into still-unset slots.
+    limit must be >= 2 and small enough to allocate, else ValueError.  A
+    composite i*k with k < i already got its factor from k, so each prime
+    only writes from i*i upward into still-unset slots.
     """
     if limit < 2:
         raise ValueError("spf table limit must be >= 2, got %r" % (limit,))
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    try:
+        ints = array("q", [0]) * (limit + 1)
+    except (MemoryError, OverflowError):
+        raise ValueError("spf table limit %d is too large to allocate" % limit) from None
+    spf = np.frombuffer(ints, dtype=np.int64)  # sieves into ints in place
     for i in range(2, math.isqrt(limit) + 1):
         if spf[i] == 0:
             sl = spf[i * i :: i]
@@ -64,7 +73,7 @@ def build_spf_table(limit: int) -> SpfTable:
     spf[rest] = rest
     spf[0] = 0
     spf[1] = 0
-    return SpfTable(limit=limit, spf=spf, ints=array("q", spf.tobytes()))
+    return SpfTable(limit=limit, ints=ints)
 
 
 # Deterministic Miller-Rabin bases, valid for all n < 3.3 * 10^24.

@@ -7,9 +7,10 @@ conjugacy classes of matrices and norm-one units of the order O_D.
 
 class_cycles walks rho from the reduced forms with 4a^2 < D, whose b are
 square roots of D mod 4a, glued by CRT from residue scans modulo prime
-powers: O(sqrt(D)) values of a in place of the O(D) b-window scan of
-reduced_forms, which stays as its oracle.  The tests check that the walked
-cycles cover exactly the scanned forms, so neither can silently drift.
+powers: O(sqrt(D)) values of a, and every reduced form lies on one of
+their cycles.  reduced_forms lists the forms of those cycles.  The tests
+hold the walk against an O(D) scan of each a's b-window and against a
+trial-division enumeration, so neither route can silently drift.
 
 fundamental_unit walks one more cycle with the same walker, that of the
 principal form: the product of its rho-step substitutions is the
@@ -52,28 +53,8 @@ def rho(form: Form, D: int) -> Form:
 
 
 def reduced_forms(D: int) -> list[Form]:
-    """All primitive reduced forms of discriminant D, sorted.  O(D) scan, the oracle.
-
-    For every leading coefficient a >= 1, scans the b-window that a
-    reduced form needs (|sqrt(D) - 2a| < b <= isqrt(D), b = D mod 2) and
-    keeps (a, b, c) and (-a, b, -c) whenever 4a divides b^2 - D.
-    """
-    require_discriminant(D)
-    s = math.isqrt(D)
-    forms: list[Form] = []
-    for a in range(1, s + 1):
-        foura = 4 * a
-        lo = max(s - 2 * a + 1, 2 * a - s, 1)
-        if (lo ^ D) & 1:
-            lo += 1
-        for b in range(lo, s + 1, 2):
-            if (b * b - D) % foura == 0:
-                c = (b * b - D) // foura
-                if math.gcd(a, b, c) == 1:
-                    forms.append((a, b, c))
-                    forms.append((-a, b, -c))
-    forms.sort()
-    return forms
+    """All primitive reduced forms of discriminant D, sorted: the forms of its class cycles."""
+    return sorted(f for cycle in class_cycles(D) for f in cycle)
 
 
 def _spf_list(n: int) -> list[int]:
@@ -98,7 +79,7 @@ def _cycle(f: Form, D: int) -> Iterator[Form]:
     g = f
     while True:
         a, b, _ = g
-        # the reduced window of reduced_forms: max(s - 2|a| + 1, 2|a| - s, 1) <= b <= s
+        # the reduced window: max(s - 2|a| + 1, 2|a| - s, 1) <= b <= s
         if not (0 < b <= s and s - b < 2 * abs(a) <= s + b):
             raise RuntimeError("rho left the reduced set at %r (D=%d)" % (g, D))
         yield g
@@ -118,8 +99,8 @@ def class_cycles(D: int) -> list[list[Form]]:
     once per call by scanning half its residues, about D / (8 log D) steps
     in all: up to a third of the call for D <= 10^6, most of it beyond.
     Every rho step is checked to stay reduced.  Each cycle is listed from
-    its smallest form, and the cycles in ascending order of it; their
-    union is reduced_forms(D), which the tests check.
+    its smallest form, and the cycles in ascending order of it; the tests
+    check that their union is every primitive reduced form.
     """
     require_discriminant(D)
     s = math.isqrt(D)

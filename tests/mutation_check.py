@@ -102,6 +102,14 @@ MUTANTS = [
     ("quadforms.py",
      "            roots = local[2 * mod] = [r for r in range(mod) if (r * r - D) % (2 * mod) == 0]",
      "            roots = local[2 * mod] = [r for r in range(1, mod) if (r * r - D) % (2 * mod) == 0]"),
+    # the forms of the class cycles come out in cycle order, not sorted
+    ("quadforms.py",
+     "    return sorted(f for cycle in class_cycles(D) for f in cycle)",
+     "    return list(f for cycle in class_cycles(D) for f in cycle)"),
+    # a view that reads the table's int64 buffer as twice as many int32s
+    ("numtheory.py",
+     "        return np.frombuffer(self.ints, dtype=np.int64)",
+     "        return np.frombuffer(self.ints, dtype=np.int32)"),
 ]
 
 TESTS = [
@@ -115,6 +123,8 @@ TESTS = [
     "tests/test_lfunctions.py::test_chi_columns_match_kronecker_for_any_lengths",
     "tests/test_sl2fp.py::test_predicted_density_closed_form",
     "tests/test_quadforms.py::test_forms_match_root_route",
+    "tests/test_quadforms.py::test_reduced_forms_pinned",
+    "tests/test_numtheory.py::test_pickled_table_factorizes_identically",
 ]
 
 

@@ -5,12 +5,13 @@ forms come from trial division, units from continued fraction convergents,
 census weights from a discriminant scan, conjugacy classes from an orbit
 partition of the whole group, and L-values from the digamma closed form over
 one full period of chi (l_value_digamma) and from direct partial sums of
-chi(n)/n up to a proven tail bound (l_value_truncated).  Two oracles start
-from the package's b-window scan, itself the oracle for the starts that
-class_cycles glues from roots modulo prime powers: scan_class_cycles
-partitions it with rho, and class_count_bfs into components under S, T
-and T^-1, knowing nothing of rho.  The class split of a trace line walks
-the package's class cycles and recovers each unit (class_split_by_cycles),
+chi(n)/n up to a proven tail bound (l_value_truncated).  scan_reduced_forms
+lists the reduced forms by an O(D) scan of each leading coefficient's
+b-window, the oracle for the forms that class_cycles walks from roots modulo
+prime powers.  Two oracles start from that scan: scan_class_cycles
+partitions it with rho, and class_count_bfs into components under S, T and
+T^-1, knowing nothing of rho.  The class split of a trace line walks the
+package's class cycles and recovers each unit (class_split_by_cycles),
 knowing nothing of genus characters.  Keep these dumb.
 """
 
@@ -27,12 +28,36 @@ from tracecensus.quadforms import (
     Form,
     class_number_and_reps,
     pell_from_known,
-    reduced_forms,
     require_discriminant,
     rho,
     unit_log,
 )
 from tracecensus.sl2fp import classify
+
+
+def scan_reduced_forms(D):
+    """All primitive reduced forms of discriminant D, sorted.  O(D) scan.
+
+    For every leading coefficient a >= 1, scans the b-window that a
+    reduced form needs (|sqrt(D) - 2a| < b <= isqrt(D), b = D mod 2) and
+    keeps (a, b, c) and (-a, b, -c) whenever 4a divides b^2 - D.
+    """
+    require_discriminant(D)
+    s = math.isqrt(D)
+    forms: list[Form] = []
+    for a in range(1, s + 1):
+        foura = 4 * a
+        lo = max(s - 2 * a + 1, 2 * a - s, 1)
+        if (lo ^ D) & 1:
+            lo += 1
+        for b in range(lo, s + 1, 2):
+            if (b * b - D) % foura == 0:
+                c = (b * b - D) // foura
+                if math.gcd(a, b, c) == 1:
+                    forms.append((a, b, c))
+                    forms.append((-a, b, -c))
+    forms.sort()
+    return forms
 
 
 def scan_class_cycles(D):
@@ -42,7 +67,7 @@ def scan_class_cycles(D):
     its smallest form and the cycles come in ascending order of it.  Any
     step that leaves the scanned set raises.
     """
-    forms = reduced_forms(D)
+    forms = scan_reduced_forms(D)
     index = {f: i for i, f in enumerate(forms)}
     seen = [False] * len(forms)
     cycles = []
@@ -121,7 +146,7 @@ def class_count_bfs(D: int) -> int:
     # a T-chain between cycle neighbours can pass through |c| = D/(4|a|),
     # so D/4 (hit when |a| = 1) is the honest coefficient ceiling
     box = max(math.isqrt(D), D // 4) + 9
-    remaining = set(reduced_forms(D))
+    remaining = set(scan_reduced_forms(D))
     count = 0
     while remaining:
         start = min(remaining)

@@ -395,6 +395,18 @@ def test_repeated_prime_is_usage_error(capsys, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x", ["10" + "0" * 29, "10" + "0" * 49])
+@pytest.mark.parametrize("command", ["census", "psi", "by-class"])
+def test_oversize_x_is_one_error_line(capsys, command, x):
+    # the spf table for these x cannot be allocated: 10^30 asks for about
+    # 3.2e16 bytes (MemoryError), 10^50 for more than an index can hold
+    # (OverflowError); both fail at the request, before any memory is touched
+    code, text, err = run(capsys, command, "--x", x)
+    assert code == 2
+    assert re.fullmatch(r"error: spf table limit \d+ is too large to allocate\n", err), err
+    assert text == ""
+
+
 def test_nonprime_modulus_is_usage_error(capsys):
     code, _, err = run(capsys, "census", "--x", "100", "--p", "6")
     assert code == 2

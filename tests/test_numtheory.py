@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,11 @@ def test_pickled_table_factorizes_identically(table):
     assert all(factorize(n, copy) == factorize(n, table) for n in range(1, table.limit + 1))
     with pytest.raises(ValueError, match="limit 10000"):
         factorize(table.limit + 1, copy)
+    # a fresh table holds its values once and pickles them once
+    fresh = build_spf_table(table.limit)
+    assert len(pickle.dumps(fresh)) <= 8 * (fresh.limit + 1) + 1024
+    assert fresh.spf.tolist() == fresh.ints.tolist()
+    assert np.shares_memory(fresh.spf, np.frombuffer(fresh.ints, dtype=np.int64))
 
 
 def test_divisors(table):

@@ -26,6 +26,7 @@ from oracles import (
     class_count_bfs,
     pell_oracle,
     scan_class_cycles,
+    scan_reduced_forms,
 )
 
 
@@ -65,11 +66,14 @@ def _walked_forms(D):
 
 
 def test_forms_match_root_route():
-    # the cycles walked from the prime-power root starts cover exactly the scanned forms
+    # the cycles walked from the prime-power root starts cover exactly the scanned
+    # forms, and reduced_forms lists them
     near_1e5 = small_discs(99_800, 100_300)[:200]
     assert len(near_1e5) == 200
     for D in small_discs(5, 300) + [997 * 4 + 1, 3989, 4001] + near_1e5:
-        assert _walked_forms(D) == reduced_forms(D), D
+        scanned = scan_reduced_forms(D)
+        assert _walked_forms(D) == scanned, D
+        assert reduced_forms(D) == scanned, D
 
 
 def _root_shapes():
@@ -90,7 +94,7 @@ def _root_shapes():
 @given(_root_shapes())
 def test_root_route_covers_scan(D):
     assume(valid_discriminant(D))
-    assert _walked_forms(D) == reduced_forms(D)
+    assert _walked_forms(D) == scan_reduced_forms(D)
 
 
 def test_class_data_matches_scan_partition():
@@ -118,7 +122,7 @@ def test_all_enumerated_forms_are_reduced_primitive():
 
 def test_rho_permutes_reduced_forms():
     for D in small_discs(5, 200) + small_discs(99_990, 100_010):
-        forms = set(reduced_forms(D))
+        forms = set(scan_reduced_forms(D))
         image = {rho(f, D) for f in forms}
         assert image == forms, D
 
@@ -127,7 +131,7 @@ def test_cycles_partition():
     for D in small_discs(5, 150):
         cycles = class_cycles(D)
         flat = [f for cyc in cycles for f in cyc]
-        assert sorted(flat) == reduced_forms(D)
+        assert sorted(flat) == scan_reduced_forms(D)
         for cyc in cycles:
             assert rho(cyc[-1], D) == cyc[0]
             for f, g in zip(cyc, cyc[1:]):
