@@ -47,6 +47,9 @@ from . import sl2fp
 
 # a block of trace lines holds at most this many (line, series term) slots
 BLOCK_ELEMENTS = 2**16
+# fewest blocks per pool process: by class at p = 3, 2 workers lose to 1 at
+# 18 blocks (x = 5.5e5) and win at 22 (x = 7e5), so a pool breaks even near 10
+POOL_BLOCKS = 10
 
 
 def trace_bound(x: int) -> int:
@@ -81,11 +84,11 @@ def trace_decompositions(t: int, table: SpfTable) -> list[tuple[int, int]]:
 class RunConfig:
     """Parameters of one census run.
 
-    norm_bounds are the checkpoint values of x, ascending.  workers is the
-    number of processes the trace lines are spread over; it never changes
-    the result.  backend and delta_switch choose nothing: every line is
-    weighed by the same route, and both fields are accepted only because
-    the benchmark still passes them.
+    norm_bounds are the checkpoint values of x, ascending.  workers is at
+    most the number of processes the trace lines are spread over; it never
+    changes the result.  backend and delta_switch choose nothing: every
+    line is weighed by the same route, and both fields are accepted only
+    because the benchmark still passes them.
     """
 
     p: int
@@ -268,9 +271,10 @@ def run_census(config: RunConfig) -> CensusResult:
     """Run the census at every checkpoint in config.norm_bounds.
 
     The trace lines go in blocks to a process pool of at most workers, block
-    count and CPU count processes when workers > 1, else in turn in this
-    process.  A worker that dies raises RuntimeError and KeyboardInterrupt
-    cancels the pending blocks; both name the lines not weighed.
+    count // POOL_BLOCKS and CPU count processes when that is more than one,
+    else in turn in this process.  A worker that dies raises RuntimeError
+    and KeyboardInterrupt cancels the pending blocks; both name the lines
+    not weighed.
     """
     table = build_spf_table(required_table_limit(config.norm_bounds[-1]))
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
@@ -279,9 +283,9 @@ def run_census(config: RunConfig) -> CensusResult:
     blocks = _blocks(tbounds[-1])
     rows: list[tuple[float, dict]] = []
     pool = None
+    procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())
     try:
-        if config.workers > 1 and blocks:
-            procs = min(config.workers, len(blocks), usable_cpus())
+        if procs > 1:
             pool = ProcessPoolExecutor(max_workers=procs, initializer=_ignore_interrupt)
             # every task carries the table, so the blocks go in a few chunks
             results = pool.map(weigh, blocks, chunksize=max(1, len(blocks) // (8 * procs)))

@@ -41,12 +41,10 @@ def _checkpoint_grid(x_max: int, count: int) -> tuple[int, ...]:
         raise ValueError("checkpoints must be positive")
     if x_max <= 100 or count == 1:
         return (x_max,)
-    pts = {
-        int(round(100.0 * (x_max / 100.0) ** (k / (count - 1))))
-        for k in range(count)
-    }
-    pts.add(x_max)
-    return tuple(sorted(pt for pt in pts if pt >= 1))
+    # the top point is x_max itself: in floats it can land on either side
+    top = count - 1
+    pts = {min(x_max, round(100.0 * (x_max / 100.0) ** (k / top))) for k in range(top)}
+    return tuple(sorted(pts | {x_max}))
 
 
 def _series_doc(results) -> dict:
@@ -250,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_threads(sp):
-        sp.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker processes, at most one per 10 blocks of trace lines (default 1)")
 
     sp = sub.add_parser("census", help="run the residue-mass census")
     sp.add_argument("--x", type=int, required=True, help="norm bound")

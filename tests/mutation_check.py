@@ -106,6 +106,10 @@ MUTANTS = [
     ("quadforms.py",
      "    return sorted(f for cycle in class_cycles(D) for f in cycle)",
      "    return list(f for cycle in class_cycles(D) for f in cycle)"),
+    # a pool process for every block, however little work each one shares
+    ("census.py",
+     "    procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())",
+     "    procs = min(config.workers, len(blocks), usable_cpus())"),
     # a view that reads the table's int64 buffer as twice as many int32s
     ("numtheory.py",
      "        return np.frombuffer(self.ints, dtype=np.int64)",
@@ -125,6 +129,7 @@ TESTS = [
     "tests/test_quadforms.py::test_forms_match_root_route",
     "tests/test_quadforms.py::test_reduced_forms_pinned",
     "tests/test_numtheory.py::test_pickled_table_factorizes_identically",
+    "tests/test_census.py::test_pool_never_exceeds_blocks_or_cpus",
 ]
 
 

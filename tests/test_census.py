@@ -306,14 +306,23 @@ def stub_pool(monkeypatch):
     return _StubPool
 
 
-def test_pool_never_exceeds_blocks_or_cpus(stub_pool):
-    # x = 10**4 is one block: a single process, however many are asked for
-    serial = run_census(RunConfig(p=5, norm_bounds=(10**4,)))
-    pooled = run_census(RunConfig(p=5, norm_bounds=(10**4,), workers=8))
-    assert pooled.psi.tobytes() == serial.psi.tobytes()
-    assert [pool.max_workers for pool in stub_pool.made] == [1]
+def test_pool_never_exceeds_blocks_or_cpus(stub_pool, monkeypatch):
+    # a pool gets at least POOL_BLOCKS blocks per process, or is not made:
+    # one block and 2 POOL_BLOCKS - 1 blocks weigh in this process however
+    # many workers are asked for
+    monkeypatch.setattr(census, "usable_cpus", lambda: 64)
+    for x, blocks in ((10**4, 1), (600_000, 2 * census.POOL_BLOCKS - 1), (10**6, 31)):
+        serial = run_census(RunConfig(p=5, norm_bounds=(x,)))
+        assert len(census._blocks(serial.trace_bounds[-1])) == blocks
+        for workers in (2, 8):
+            pooled = run_census(RunConfig(p=5, norm_bounds=(x,), workers=workers))
+            assert pooled.psi.tobytes() == serial.psi.tobytes()
+            procs = min(workers, blocks // census.POOL_BLOCKS, 64)
+            assert [pool.max_workers for pool in stub_pool.made] == ([procs] if procs > 1 else [])
+            stub_pool.made.clear()
     # x = 10**9 has about 25 000 blocks, so the CPU count caps the pool; the
     # stub stops after one block and nothing else is weighed
+    monkeypatch.setattr(census, "usable_cpus", lambda: 4)
     stub_pool.interrupt = True
     with pytest.raises(KeyboardInterrupt, match=r"^trace lines t=135\.\.31622 were not weighed$"):
         run_census(RunConfig(p=5, norm_bounds=(10**9,), workers=100000))
@@ -335,7 +344,7 @@ def test_pool_counts_cpus_without_sched_getaffinity(stub_pool, monkeypatch):
     assert census.usable_cpus() == 1
 
 
-def test_pool_workers_leave_ctrl_c_to_the_parent(monkeypatch):
+def test_pool_workers_leave_ctrl_c_to_the_parent(monkeypatch, real_pool):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
     real = census.trace_decompositions
@@ -347,6 +356,7 @@ def test_pool_workers_leave_ctrl_c_to_the_parent(monkeypatch):
 
     monkeypatch.setattr(census, "trace_decompositions", checked)
     run_census(RunConfig(p=3, norm_bounds=(10**5,), workers=2))
+    assert real_pool == [2]
 
 
 def test_class_resolution_consistency():

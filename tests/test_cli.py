@@ -35,6 +35,11 @@ def test_checkpoint_grid_properties():
     assert list(grid) == sorted(set(grid))
     assert _checkpoint_grid(50, 20) == (50,)
     assert _checkpoint_grid(10**4, 1) == (10**4,)
+    # the top point is x_max, which floats round up (10**50) or down (2**53 + 1)
+    for x_max in (2**53 + 1, 10**50):
+        grid = _checkpoint_grid(x_max, 12)
+        assert grid[-1] == x_max and max(grid) == x_max
+        assert len(grid) == 12
 
 
 def test_census_csv_shape(capsys, tmp_path):
@@ -266,28 +271,32 @@ def _assert_fails_at_line(capsys, tmp_path, t, *argv):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, threads):
+def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, real_pool, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
     # t = 6 is the first line with two splittings (36 - 4 = 8 * 2^2), so its
     # D0 = 8 is the first to take an Euler factor, a per-line step
     _plant_failure(monkeypatch, lfunctions, "euler_terms", 8)
+    monkeypatch.setattr(census, "BLOCK_ELEMENTS", 2**11)  # x = 3000 in 4 blocks
     _assert_fails_at_line(capsys, tmp_path, 6,
                           "census", "--x", "3000", "--p", "5", "--threads", str(threads))
+    assert real_pool == ([2] if threads > 1 else [])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_failing_class_line_fails_by_class(capsys, tmp_path, monkeypatch, threads):
+def test_failing_class_line_fails_by_class(capsys, tmp_path, monkeypatch, real_pool, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
     # t = 4 = -2 (mod 3) is the first line split between classes; its one
     # splitting (1, 12) is labelled from the matrix -(I + N), N = (0, 0, -1, 0)
     _plant_failure(monkeypatch, sl2fp, "classify", (-1, 0, 1, -1))
+    monkeypatch.setattr(census, "BLOCK_ELEMENTS", 2**11)
     _assert_fails_at_line(capsys, tmp_path, 4,
                           "by-class", "--x", "3000", "--p", "3", "--threads", str(threads))
+    assert real_pool == ([2] if threads > 1 else [])
 
 
-def test_dead_worker_names_lost_lines(capsys, tmp_path, monkeypatch):
+def test_dead_worker_names_lost_lines(capsys, tmp_path, monkeypatch, real_pool):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
     real = census.trace_decompositions
@@ -298,6 +307,9 @@ def test_dead_worker_names_lost_lines(capsys, tmp_path, monkeypatch):
         return real(t, table)
 
     monkeypatch.setattr(census, "trace_decompositions", dying)
+    # a worker, not this process, must die: x = 3000 in 4 blocks, and a pool
+    monkeypatch.setattr(census, "BLOCK_ELEMENTS", 2**11)
+    assert len(census._blocks(census.trace_bound(3000))) == 4
     out = tmp_path / "f"
     code, text, err = run(capsys, "census", "--x", "3000", "--p", "5", "--threads", "2",
                           "--out", str(out))
@@ -306,10 +318,12 @@ def test_dead_worker_names_lost_lines(capsys, tmp_path, monkeypatch):
     assert lost and 3 <= int(lost[1]) <= 40 and int(lost[2]) == census.trace_bound(3000)
     assert text == ""
     assert not out.exists()
+    assert real_pool == [2]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_ctrl_c_names_unfinished_lines_and_writes_nothing(capsys, tmp_path, monkeypatch, threads):
+def test_ctrl_c_names_unfinished_lines_and_writes_nothing(capsys, tmp_path, monkeypatch, real_pool,
+                                                          threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
     real = census.trace_decompositions
@@ -330,6 +344,7 @@ def test_ctrl_c_names_unfinished_lines_and_writes_nothing(capsys, tmp_path, monk
     assert err == "interrupted: trace lines t=135..316 were not weighed\n"
     assert text == ""
     assert not out.exists()
+    assert real_pool == ([2] if threads > 1 else [])
 
 
 def test_fit_names_primes_missing_from_the_report(capsys, tmp_path):
