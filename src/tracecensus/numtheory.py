@@ -32,12 +32,15 @@ class SpfTable:
     """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0).
 
     ints holds the values once, as plain ints for factorize's table walk;
-    spf is a numpy view of the same buffer, made on first use, so a fresh
-    table pickles as ints alone.
+    spf is a numpy view of the same buffer, made on first use.  A table
+    pickles as limit and ints alone, never with the cached arrays.
     """
 
     limit: int
     ints: array = field(repr=False)
+
+    def __reduce__(self):
+        return SpfTable, (self.limit, self.ints)
 
     @functools.cached_property
     def spf(self) -> np.ndarray:

@@ -110,6 +110,16 @@ MUTANTS = [
     ("census.py",
      "    procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())",
      "    procs = min(config.workers, len(blocks), usable_cpus())"),
+    # the residue table: (0/q) left at -1, and the largest square k^2 mod q,
+    # k = (q - 1) / 2, left unmarked.  Moving RESIDUE_TOP or the top of a
+    # call to another power of two only moves primes between two paths
+    # that give the same chi, an equivalent mutant, and is left out.
+    ("lfunctions.py",
+     "    symbols[starts] = 0",
+     "    pass"),
+    ("lfunctions.py",
+     "    half = qs >> 1",
+     "    half = (qs >> 1) - 1"),
     # a view that reads the table's int64 buffer as twice as many int32s
     ("numtheory.py",
      "        return np.frombuffer(self.ints, dtype=np.int64)",
@@ -125,6 +135,7 @@ TESTS = [
     "tests/test_census.py::test_only_classes_of_trace_pm2_are_split",
     "tests/test_census.py::test_every_class_share_matches_cycles_times_units",
     "tests/test_lfunctions.py::test_chi_columns_match_kronecker_for_any_lengths",
+    "tests/test_lfunctions.py::test_residue_table_matches_kronecker",
     "tests/test_sl2fp.py::test_predicted_density_closed_form",
     "tests/test_quadforms.py::test_forms_match_root_route",
     "tests/test_quadforms.py::test_reduced_forms_pinned",

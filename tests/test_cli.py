@@ -189,6 +189,20 @@ def test_fit_roundtrip(capsys, tmp_path):
     )
 
 
+def test_census_bytes_are_the_same_from_eulers_criterion_alone(tmp_path, monkeypatch):
+    # with RESIDUE_TOP = 2 no odd prime is looked up and every chi(q) comes
+    # from Euler's criterion, the reference for the residue table
+    argv = ["census", "--x", "100000", "--p", "3", "--p", "5", "--p", "7", "--format", "csv", "--out"]
+    assert main([*argv, str(tmp_path / "table.csv")]) == 0
+    tops = []
+    real = lfunctions._residue_table
+    monkeypatch.setattr(lfunctions, "RESIDUE_TOP", 2)
+    monkeypatch.setattr(lfunctions, "_residue_table", lambda top: tops.append(top) or real(top))
+    assert main([*argv, str(tmp_path / "euler.csv")]) == 0
+    assert tops and set(tops) <= {1, 2}
+    assert (tmp_path / "euler.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
 def _census_report(tmp_path, *argv):
     path = tmp_path / "series.csv"
     assert main(["census", "--p", "3", *argv, "--out", str(path)]) == 0

@@ -97,6 +97,10 @@ def test_chi_columns_stop_at_their_own_length():
 # a prime = 1 mod 4 above 10^9, 4 times a prime = 3 mod 4, and a prime
 # = 1 mod 4 above 2^32, so D0 mod q does not fit the uint32 kernel
 LARGE_D0 = [10**9 + 9, 4 * (10**9 + 7), 4294967357]
+# 4093 < RESIDUE_TOP = 2^12 < 4099 are primes, so chi(4093) comes from the
+# residue table and chi(4099) from Euler's criterion once a series passes
+# 2^12; columns divisible by them check chi(q) = 0 on both paths
+TOP_D0 = [4093, 4 * 4099, 20 * 4093 * 4099, 1009, 8]
 
 
 @pytest.mark.parametrize(
@@ -112,8 +116,13 @@ LARGE_D0 = [10**9 + 9, 4 * (10**9 + 7), 4294967357]
         # the longest length picks the dtype: uint32 below 2^16, uint64 above
         (LARGE_D0, [2**16 - 1, 2**16 - 3, 2**16 - 1]),
         (LARGE_D0, [2**16 + 1, 2**16 - 1, 2**16 + 1]),
+        # the longest length at, below and past RESIDUE_TOP
+        (TOP_D0, [4096, 4092, 4096, 4092, 4096]),
+        (TOP_D0, [4092, 4092, 4092, 4092, 4092]),
+        (TOP_D0, [4100, 4100, 4100, 4096, 4092]),
+        (TOP_D0, [4092, 4096, 4100, 4100, 4100]),
     ],
-    ids=["n0", "n1", "n2", "n0-2", "ragged", "uint32", "uint64"],
+    ids=["n0", "n1", "n2", "n0-2", "ragged", "uint32", "uint64", "top", "below-top", "past-top", "straddle-top"],
 )
 def test_chi_columns_match_kronecker_for_any_lengths(d0s, lengths):
     chi = chi_columns(d0s, lengths, BIG)
@@ -121,6 +130,25 @@ def test_chi_columns_match_kronecker_for_any_lengths(d0s, lengths):
     for i, (D0, n) in enumerate(zip(d0s, lengths)):
         want = [kronecker(D0, k) if k <= n else 0 for k in range(len(chi))]
         assert chi[:, i].tolist() == want, D0
+
+
+def test_residue_table_matches_kronecker():
+    assert lfunctions.RESIDUE_TOP == 2**12
+    starts, symbols = lfunctions._residue_table(lfunctions.RESIDUE_TOP)
+    odd = BIG.primes[1 : np.searchsorted(BIG.primes, lfunctions.RESIDUE_TOP, side="right")]
+    assert len(starts) == len(odd) and len(symbols) == odd.sum() == 1070089
+    assert starts.tolist() == (np.cumsum(odd) - odd).tolist()
+    for i, q in enumerate(odd.tolist()):
+        if q <= 211:
+            rs = range(q)
+        elif q > odd[-8]:
+            # the largest primes below the top, at 0, 1, q - 1 and a spread
+            rs = [0, 1, q - 1, *range(2, q - 1, 37)]
+        else:
+            continue
+        assert [int(symbols[starts[i] + r]) for r in rs] == [kronecker(r, q) for r in rs], q
+    # one table per top and process
+    assert lfunctions._residue_table(lfunctions.RESIDUE_TOP)[1] is symbols
 
 
 # fundamental parts of D up to 10^6, whose series need up to 3701 terms, so

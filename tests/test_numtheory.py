@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecensus.lfunctions import chi_columns
 from tracecensus.numtheory import (
     SpfTable,
     build_spf_table,
@@ -119,6 +120,14 @@ def test_pickled_table_factorizes_identically(table):
     assert len(pickle.dumps(fresh)) <= 8 * (fresh.limit + 1) + 1024
     assert fresh.spf.tolist() == fresh.ints.tolist()
     assert np.shares_memory(fresh.spf, np.frombuffer(fresh.ints, dtype=np.int64))
+    # a used one pickles no copy of its cached arrays either, and its copy
+    # factorizes the same way
+    fresh.primes, fresh.spf
+    chi_columns([5, 13, 4 * 4099], [100, 5000, 4100], fresh)
+    assert len(pickle.dumps(fresh)) <= 8 * (fresh.limit + 1) + 1024
+    used = pickle.loads(pickle.dumps(fresh))
+    assert used.limit == fresh.limit
+    assert all(factorize(n, used) == factorize(n, table) for n in range(1, table.limit + 1))
 
 
 def test_divisors(table):
