@@ -25,8 +25,7 @@ from .census import (
     trace_decompositions,
 )
 from . import lfunctions  # noqa: F401
-from .numtheory import SpfTable, build_spf_table, factorize, kronecker
-from .quadforms import valid_discriminant
+from .numtheory import SpfTable, build_spf_table, factorize, kronecker, valid_discriminant
 from .sl2fp import (
     ConjClass,
     class_list,

@@ -194,13 +194,13 @@ def _weigh_block(config: RunConfig, table: SpfTable, lines: range) -> list[tuple
 def _blocks(t_max: int) -> list[range]:
     """Consecutive trace lines 3..t_max cut into blocks for cohen_series.
 
-    A block grows while its lines times 3.7 t, about the longest series any
-    of them can need (series_length(t*t - 4)), stay within BLOCK_ELEMENTS;
-    a line that alone exceeds it is a block of one.
+    A block grows while its lines times TERMS_PER_ROOT t, about the longest
+    series any of them can need (series_length(t*t - 4)), stay within
+    BLOCK_ELEMENTS; a line that alone exceeds it is a block of one.
     """
     blocks, start = [], 3
     for t in range(4, t_max + 1):
-        if (t - start + 1) * math.ceil(3.7 * t) > BLOCK_ELEMENTS:
+        if (t - start + 1) * math.ceil(lfunctions.TERMS_PER_ROOT * t) > BLOCK_ELEMENTS:
             blocks.append(range(start, t))
             start = t
     if start <= t_max:
@@ -230,8 +230,8 @@ def required_table_limit(x: int, backend: str = "exact") -> int:
     """Spf table size covering every line up to bound x.
 
     4T + 16 reaches past every t +- 2 and every conductor, and past the
-    about 3.7 sqrt(D0) <= 3.7 T character values of each line's L-value
-    series.  backend is accepted for the benchmark and changes nothing.
+    about TERMS_PER_ROOT sqrt(D0) < 4T character values of each line's
+    L-value series.  backend is accepted for the benchmark and changes nothing.
     """
     return max(4 * trace_bound(x) + 16, 64)
 

@@ -1,4 +1,4 @@
-"""Sieve-backed factorization, Kronecker symbol, primality, non-residues.
+"""Sieve-backed factorization, Kronecker symbol, primality, discriminants.
 
 Everything here is exact integer arithmetic.  The smallest-prime-factor table
 is the one shared piece of state: build it once, sized a little past the
@@ -21,7 +21,10 @@ __all__ = [
     "factorize",
     "divisors_from_factorization",
     "kronecker",
+    "KRONECKER_2",
     "is_square",
+    "valid_discriminant",
+    "require_discriminant",
     "is_probable_prime",
     "nonresidue",
 ]
@@ -146,7 +149,7 @@ def divisors_from_factorization(factors: list[tuple[int, int]]) -> list[int]:
 
 
 # (2/n) table indexed by n & 7: nonzero only for odd n, +1 iff n = +-1 mod 8.
-_TAB2 = (0, 1, 0, -1, 0, -1, 0, 1)
+KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -166,7 +169,7 @@ def kronecker(a: int, n: int) -> int:
         if a % 2 == 0:
             return 0  # shared factor 2
         if v % 2 == 1:
-            k *= _TAB2[a & 7]
+            k *= KRONECKER_2[a & 7]
     # now n is odd and positive; standard Jacobi loop with 2-extraction
     a %= n
     while a != 0:
@@ -175,7 +178,7 @@ def kronecker(a: int, n: int) -> int:
             a //= 2
             v += 1
         if v % 2 == 1:
-            k *= _TAB2[n & 7]
+            k *= KRONECKER_2[n & 7]
         # reciprocity flip: both a and n odd, flip sign iff both = 3 mod 4
         if a & n & 2:
             k = -k
@@ -188,6 +191,15 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
+
+
+def valid_discriminant(D: int) -> bool:
+    return D > 0 and D % 4 in (0, 1) and not is_square(D)
+
+
+def require_discriminant(D: int) -> None:
+    if not valid_discriminant(D):
+        raise ValueError("not a positive nonsquare discriminant: %r" % (D,))
 
 
 def nonresidue(p: int) -> int:

@@ -24,18 +24,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .numtheory import is_probable_prime, is_square
+from .numtheory import is_probable_prime, is_square, require_discriminant
+# re-exported: the tests and the benchmark read it here
+from .numtheory import valid_discriminant  # noqa: F401
 
 Form = tuple[int, int, int]
-
-
-def valid_discriminant(D: int) -> bool:
-    return D > 0 and D % 4 in (0, 1) and not is_square(D)
-
-
-def require_discriminant(D: int) -> None:
-    if not valid_discriminant(D):
-        raise ValueError("not a positive nonsquare discriminant: %r" % (D,))
 
 
 def rho(form: Form, D: int) -> Form:
@@ -55,18 +48,6 @@ def rho(form: Form, D: int) -> Form:
 def reduced_forms(D: int) -> list[Form]:
     """All primitive reduced forms of discriminant D, sorted: the forms of its class cycles."""
     return sorted(f for cycle in class_cycles(D) for f in cycle)
-
-
-def _spf_list(n: int) -> list[int]:
-    """Smallest prime factor of every k <= n, as a plain list (spf[k] = k for k < 2).
-
-    Writing every i <= isqrt(n) from i*i upward, largest i first, leaves
-    each composite with its smallest divisor, which is prime.
-    """
-    spf = list(range(n + 1))
-    for i in range(math.isqrt(n), 1, -1):
-        spf[i * i :: i] = [i] * ((n - i * i) // i + 1)
-    return spf
 
 
 def _cycle(f: Form, D: int) -> Iterator[Form]:
@@ -95,9 +76,10 @@ def class_cycles(D: int) -> list[list[Form]]:
     |a c| = (D - b^2) / 4 < D / 4, so every cycle holds a form with
     4a^2 < D.  The walks start from those forms only: for each a <= s/2
     (s = isqrt(D)) the b with b^2 = D (mod 4a) come from roots modulo the
-    prime powers of 4a, glued by CRT.  Each prime power's roots are found
-    once per call by scanning half its residues, about D / (8 log D) steps
-    in all: up to a third of the call for D <= 10^6, most of it beyond.
+    prime powers of 4a, found by trial division of a and glued by CRT.
+    Each prime power's roots are found once per call by scanning half its
+    residues, about D / (8 log D) steps in all: up to a third of the call
+    for D <= 10^6, most of it beyond.
     Every rho step is checked to stay reduced.  Each cycle is listed from
     its smallest form, and the cycles in ascending order of it; the tests
     check that their union is every primitive reduced form.
@@ -105,7 +87,6 @@ def class_cycles(D: int) -> list[list[Form]]:
     require_discriminant(D)
     s = math.isqrt(D)
     half = s // 2  # 4a^2 < D  <=>  2a <= s, as D is not a square
-    spf = _spf_list(half)
     # roots of D modulo a prime power, keyed by that modulus; the entry for
     # 2^(v+2) holds its roots reduced mod 2^(v+1), which is all b mod 2a sees
     local: dict[int, list[int]] = {}
@@ -117,9 +98,12 @@ def class_cycles(D: int) -> list[list[Form]]:
         roots = local.get(2 * mod)
         if roots is None:
             roots = local[2 * mod] = [r for r in range(mod) if (r * r - D) % (2 * mod) == 0]
-        n = a >> v
+        n, q = a >> v, 3
         while n > 1 and roots:
-            q = spf[n]
+            while n % q and q * q <= n:
+                q += 2
+            if n % q:
+                q = n  # no odd divisor up to its root, so n is prime
             k = 0
             while n % q == 0:
                 n //= q

@@ -100,14 +100,17 @@ def classify(mat: Mat, p: int) -> Label:
     return ("unipotent", sign, kronecker(alpha, p))
 
 
+def trace_masses(p: int) -> list[Fraction]:
+    """Sum of 2 / |centralizer| over the classes of each trace a = 0 .. p - 1."""
+    masses = [Fraction(0)] * p
+    for cls in class_list(p):
+        masses[cls.trace] += Fraction(2, cls.centralizer)
+    return masses
+
+
 def trace_mass(p: int, a: int) -> Fraction:
     """Sum of 2 / |centralizer| over classes with trace a mod p."""
-    a %= p
-    total = Fraction(0)
-    for cls in class_list(p):
-        if cls.trace == a:
-            total += Fraction(2, cls.centralizer)
-    return total
+    return trace_masses(p)[a % p]
 
 
 def class_mass(p: int) -> dict[Label, Fraction]:
@@ -128,7 +131,5 @@ def predicted_density(p: int, a: int) -> Fraction:
 
 def predicted_densities(p: int) -> list[Fraction]:
     """predicted_density(p, a) for a = 0 .. p - 1, from one class list."""
-    masses = [Fraction(0)] * p
-    for cls in class_list(p):
-        masses[cls.trace] += Fraction(2, cls.centralizer)
+    masses = trace_masses(p)
     return [(masses[a] + masses[-a % p]) / 4 for a in range(p)]

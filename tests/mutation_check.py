@@ -76,15 +76,23 @@ MUTANTS = [
     ("lfunctions.py",
      "    step = q - kronecker(D0, q)",
      "    step = q - 1"),
-    # chi(2) is read off D0 mod 8.  Only entries 0, 1, 4 and 5 are reached:
-    # no fundamental D0 is 3 or 7 mod 8 (nor 2 or 6), so flipping entry 3
-    # or 7 is an equivalent mutant that no test can kill, and is left out.
+    # chi(2) is read off D0 mod 8 in the (2/n) table that kronecker shares.
+    # chi_columns reaches only entries 0, 1, 4 and 5, as no fundamental D0
+    # is 3 or 7 mod 8 (nor 2 or 6); these two flip entries it reaches.
+    ("numtheory.py",
+     "KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)",
+     "KRONECKER_2 = (0, -1, 0, -1, 0, -1, 0, 1)"),
+    ("numtheory.py",
+     "KRONECKER_2 = (0, 1, 0, -1, 0, -1, 0, 1)",
+     "KRONECKER_2 = (0, 1, 0, -1, 0, 1, 0, 1)"),
+    # Euler's criterion above the residue table: a residue read as -1, and
+    # uint32 squares past q = 2^16, where q^2 overflows it
     ("lfunctions.py",
-     "_CHI_2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)",
-     "_CHI_2 = np.array([0, -1, 0, -1, 0, -1, 0, 1], dtype=np.int8)"),
+     "        chi[q, col] = np.where(power > 1, -1, power == 1)",
+     "        chi[q, col] = np.where(power > 0, -1, power == 1)"),
     ("lfunctions.py",
-     "_CHI_2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)",
-     "_CHI_2 = np.array([0, 1, 0, -1, 0, 1, 0, 1], dtype=np.int8)"),
+     "        dtype = np.uint32 if n < 2**16 else np.uint64",
+     "        dtype = np.uint32 if n < 2**20 else np.uint64"),
     # -I maps the classes of trace a onto those of trace -a with the same
     # centralizers, so masses[-a % p] == masses[a] and swapping the two is
     # an equivalent mutant; a wrong residue index is not.
@@ -141,6 +149,7 @@ TESTS = [
     "tests/test_quadforms.py::test_reduced_forms_pinned",
     "tests/test_numtheory.py::test_pickled_table_factorizes_identically",
     "tests/test_census.py::test_pool_never_exceeds_blocks_or_cpus",
+    "tests/test_census.py::test_far_line_weights_and_shares_match_cycles_times_units",
 ]
 
 

@@ -16,7 +16,7 @@ knowing nothing of genus characters.  Keep these dumb.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -116,8 +116,10 @@ def class_split_by_cycles(t: int, p: int, label_index: dict, table: SpfTable) ->
     for m, d in trace_decompositions(t, table):
         tau0, _ = pell_from_known(t, m, d)
         logeps = unit_log(tau0)
-        for label in cycle_classes(t, m, d, p):
-            split[label_index[label]] += 2.0 * logeps
+        # cycles counted per class, then weighed once: adding 2 log eps cycle
+        # by cycle rounds h times, up to 3e-14 relative at D ~ 7e8
+        for label, n in Counter(cycle_classes(t, m, d, p)).items():
+            split[label_index[label]] += n * 2.0 * logeps
     return split
 
 

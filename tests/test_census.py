@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import inspect
 import math
 import multiprocessing
 import os
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecensus import census, lfunctions, quadforms
+from tracecensus import census, cli, lfunctions, quadforms
 from tracecensus.census import (
     CensusResult,
     RunConfig,
@@ -405,9 +407,9 @@ def test_line_ends_with_fundamental_splitting():
         assert m0 * m0 * d0 == t * t - 4
 
 
-def _weight_by_cycles(t):
+def _weight_by_cycles(t, table=TABLE):
     """Sum of h(D) * 2 log eps_D over the splittings of line t: cycles x units."""
-    return math.fsum(2.0 * line_weight(d) for _, d in trace_decompositions(t, TABLE))
+    return math.fsum(2.0 * line_weight(d) for _, d in trace_decompositions(t, table))
 
 
 def _weighed_lines(config):
@@ -423,6 +425,44 @@ def test_every_line_weight_matches_cycles_times_units():
         want = _weight_by_cycles(t)
         worst = max(worst, abs(w - want) / want)
         assert split == {}
+    assert worst <= 1e-14
+
+
+# lines past x = 10^6, by the path chi_columns takes for the series of
+# their fundamental part D0: the residue table (at most RESIDUE_TOP terms),
+# Euler's criterion in uint32 (below 2^16 terms) and in uint64.  Each path
+# holds the first four t that random.Random(26).randrange(1200, 31000)
+# drew for it, in 46 draws.
+FAR_LINES = {
+    "table": (2567, 7922, 20341, 26248),
+    "uint32": (7843, 15370, 19026, 22810),
+    "uint64": (20885, 25687, 25701, 30911),
+}
+
+
+def test_far_line_weights_and_shares_match_cycles_times_units(monkeypatch):
+    # each line is weighed as a block of one, so its own series picks the
+    # path; D reaches 9.6e8, and the oracles walk each D's cycles once
+    monkeypatch.setattr(quadforms, "class_cycles", functools.cache(quadforms.class_cycles))
+    table = build_spf_table(4 * 31000 + 16)
+    worst = 0.0
+    for path, lines in FAR_LINES.items():
+        for t in lines:
+            n = lfunctions.series_length(trace_decompositions(t, table)[-1][1])
+            assert path == ("table" if n <= lfunctions.RESIDUE_TOP else "uint32" if n < 2**16 else "uint64"), t
+            want = _weight_by_cycles(t, table)
+            for p in (3, 5):
+                config = RunConfig(p=p, norm_bounds=(10,), resolve_classes=True)
+                [(w, split)] = census._weigh_block(config, table, range(t, t + 1))
+                worst = max(worst, abs(w - want) / want)
+                if not census._shared_residue(p, t):
+                    continue
+                classes = sl2fp.class_list(p)
+                refs = oracles.class_split_by_cycles(t, p, {c.label: i for i, c in enumerate(classes)}, table)
+                for c, ref in zip(classes, refs):
+                    got = split.get(c.label, 0.0)
+                    assert (got == 0.0) == (ref == 0.0), (t, p, c.label)
+                    worst = max(worst, abs(got - ref) / ref if ref else 0.0)
     assert worst <= 1e-14
 
 
@@ -519,26 +559,33 @@ def test_every_class_share_matches_cycles_times_units(p):
     assert worst <= 1e-14
 
 
-def test_no_census_run_walks_forms_or_recovers_units(monkeypatch):
+def test_no_census_run_walks_forms_or_recovers_units(monkeypatch, capsys):
+    # the census, by-class and psi runs call nothing of the class-cycle
+    # route, and the L-value module binds nothing from quadforms
     calls = []
 
-    def record(name):
-        real = getattr(quadforms, name)
-
-        def wrapper(*args):
+    def record(name, real):
+        def wrapper(*args, **kwargs):
             calls.append((name, args))
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapper
 
-    for name in ("class_cycles", "class_number_and_reps", "pell_from_known"):
-        wrapper = record(name)
-        monkeypatch.setattr(quadforms, name, wrapper)
-        if hasattr(census, name):
+    route = [(quadforms, name) for name, value in vars(quadforms).items()
+             if not name.startswith("_") and inspect.isfunction(value) and value.__module__ == quadforms.__name__]
+    for module, name in route + [(census, "line_weight")]:
+        real = getattr(module, name)
+        wrapper = record(name, real)
+        monkeypatch.setattr(module, name, wrapper)
+        if getattr(census, name, None) is real:
             monkeypatch.setattr(census, name, wrapper)
-    for resolve in (True, False):
-        run_census(RunConfig(p=3, norm_bounds=(2 * 10**4,), resolve_classes=resolve))
+    assert len(route) >= 8
+    for argv in (["census", "--p", "3", "--p", "5"], ["by-class", "--p", "3"], ["psi"]):
+        assert cli.main(argv + ["--x", "20000", "--threads", "1"]) == 0
+    capsys.readouterr()
     assert calls == []
+    assert [name for name, value in vars(lfunctions).items()
+            if value is quadforms or getattr(value, "__module__", None) == quadforms.__name__] == []
 
 
 def test_config_validation():
