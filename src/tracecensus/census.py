@@ -116,12 +116,11 @@ class RunConfig:
 
 @dataclass
 class CensusResult:
-    """Checkpointed residue masses, one row per norm bound."""
+    """Checkpointed residue masses, one row per norm bound; class_psi's columns follow class_list(p)."""
 
     config: RunConfig
     trace_bounds: tuple[int, ...]
     psi: np.ndarray
-    class_labels: tuple[sl2fp.Label, ...] | None = None
     class_psi: np.ndarray | None = None
     table_limit: int = 0
 
@@ -135,19 +134,16 @@ class CensusResult:
         return 0.5 * (self.psi + self.psi[:, idx])
 
 
-def _shared_residue(p: int, a: int) -> bool:
-    """Whether trace a mod p holds more than one SL2(F_p) class: a = +-2."""
-    return (a - 2) % p == 0 or (a + 2) % p == 0
-
-
-def _weigh_line(t: int, table: SpfTable, p: int, labels: dict | None = None) -> tuple[int, int, dict]:
-    """D0 of line t, its Euler multiplier sum total, and with labels twice its class shares.
+def _weigh_line(t: int, table: SpfTable, p: int) -> tuple[int, int, tuple[int, int, int]]:
+    """D0 of line t, its Euler multiplier sum total, and twice its three class shares.
 
     On t = 2s (mod p) the matrix fixing m*(a, b, c) is s(I + N): central if
     p | m, else unipotent with chi = (-s m a / p), split evenly by the genus
     character (a/p) unless D0 = p (Cox, Primes of the Form x^2 + ny^2, 3).
-    The central class takes 2 (total - kept), kept summing over p not
-    dividing m, and the unipotent ones kept +- twist, twist = F if D0 = p.
+    The shares go to s(I + N) for N = (0, 0, g, 0), g = 0, 1 and a
+    nonresidue, in that order: 2 (total - kept), kept summing over p not
+    dividing m, and kept +- twist, twist = F if D0 = p.  They do not depend
+    on s, and nothing reads them on the other lines.
     """
     F, d0 = trace_decompositions(t, table)[-1]  # (F, D0) is the last splitting
     total = kept = 1
@@ -155,28 +151,20 @@ def _weigh_line(t: int, table: SpfTable, p: int, labels: dict | None = None) -> 
         c = lfunctions.euler_terms(d0, q, k)
         total *= sum(c)
         kept *= c[k] if q == p else sum(c)
-    doubled = {}
-    if labels is not None and _shared_residue(p, t):
-        s = 1 if (t - 2) % p == 0 else -1
-        if s not in labels:  # s(I + N) for N = (0, 0, g, 0), g = 0, 1 and a nonresidue
-            labels[s] = [sl2fp.classify((s, 0, g, s), p) for g in (0, 1, nonresidue(p) if p > 2 else 1)]
-        twist = F if d0 == p else 0
-        for label, n in zip(labels[s], (2 * (total - kept), kept + twist, kept - twist)):
-            if n:
-                doubled[label] = doubled.get(label, 0) + n
-    return d0, total, doubled
+    twist = F if d0 == p else 0
+    return d0, total, (2 * (total - kept), kept + twist, kept - twist)
 
 
-def _weigh_block(config: RunConfig, table: SpfTable, lines: range) -> list[tuple[float, dict]]:
-    """Each line's weight and class shares: _weigh_line's 2 total and doubled, times sqrt(D0) L(1, chi_D0).
+def _weigh_block(config: RunConfig, table: SpfTable, lines: range) -> list[tuple[float, ...]]:
+    """Each line's row: _weigh_line's 2 total and, resolving classes, doubled, times sqrt(D0) L(1, chi_D0).
 
     All of a block's L-values come from one cohen_series pass.  A failure is
     raised again naming its line, or the block's lines if in that pass.
     """
-    parts, labels = [], {} if config.resolve_classes else None
+    parts = []
     for t in lines:
         try:
-            parts.append(_weigh_line(t, table, config.p, labels))
+            parts.append(_weigh_line(t, table, config.p))
         except Exception as exc:
             raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
     try:
@@ -187,7 +175,8 @@ def _weigh_block(config: RunConfig, table: SpfTable, lines: range) -> list[tuple
     for (d0, mult, doubled), value in zip(parts, series):
         root = math.sqrt(d0)
         lval = value / root  # L(1, chi_D0) rounded as l_value(d0) rounds it
-        rows.append((2.0 * mult * root * lval, {c: n * root * lval for c, n in doubled.items()}))
+        row = (2.0 * mult * root * lval,)
+        rows.append(row + tuple(n * root * lval for n in doubled) if config.resolve_classes else row)
     return rows
 
 
@@ -208,21 +197,28 @@ def _blocks(t_max: int) -> list[range]:
     return blocks
 
 
-def _reduce(rows: Sequence[tuple[float, dict]], tbounds: Sequence[int], p: int,
+def _class_columns(p: int) -> dict[sl2fp.Label, list[int]]:
+    """Label -> the row columns j it owns, the j-th share of _weigh_line; any other class owns column 0."""
+    picks = {}
+    for s in {1, p - 1}:  # one sign when p = 2
+        for j, g in enumerate((0, 1, nonresidue(p) if p > 2 else 1), 1):
+            picks.setdefault(sl2fp.classify((s, 0, g, s), p), []).append(j)
+    return picks
+
+
+def _reduce(rows: Sequence[tuple[float, ...]], tbounds: Sequence[int], p: int,
             classes: Sequence[sl2fp.ConjClass]) -> tuple[np.ndarray, np.ndarray]:
     """Checkpointed residue and class masses from the line rows of t = 3, 4, ...
 
-    Line weights and shares land in lists indexed by t, and every mass is
-    one correctly rounded math.fsum over its lines.  A class alone on its
-    trace residue takes that residue's mass; a class of trace +-2 sums its
-    shares, which lie on its residue's lines only.
+    The row columns land in lists indexed by t, and every mass is one
+    correctly rounded math.fsum over its residue's lines of the columns it
+    owns: column 0 for a residue, _class_columns for a class.
     """
-    w = [0.0] * 3 + [weight for weight, _ in rows]
-    shares = [{}] * 3 + [split for _, split in rows]
-    psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])
-    cls = np.array([[math.fsum(s.get(c.label, 0.0) for s in shares[c.trace : tb + 1 : p])
-                     if _shared_residue(p, c.trace) else psi[i, c.trace] for c in classes]
-                    for i, tb in enumerate(tbounds)])
+    cols = [[0.0] * 3 + list(col) for col in zip(*rows)] if rows else [[0.0] * 3] * 4
+    picks = _class_columns(p) if classes else {}
+    psi = np.array([[math.fsum(cols[0][a : tb + 1 : p]) for a in range(p)] for tb in tbounds])
+    cls = np.array([[math.fsum(v for j in picks.get(c.label, (0,)) for v in cols[j][c.trace : tb + 1 : p])
+                     for c in classes] for tb in tbounds])
     return psi, cls
 
 
@@ -281,7 +277,7 @@ def run_census(config: RunConfig) -> CensusResult:
     classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
     weigh = functools.partial(_weigh_block, config, table)
     blocks = _blocks(tbounds[-1])
-    rows: list[tuple[float, dict]] = []
+    rows: list[tuple[float, ...]] = []
     pool = None
     procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())
     try:
@@ -304,12 +300,10 @@ def run_census(config: RunConfig) -> CensusResult:
             pool.shutdown(cancel_futures=True)
 
     psi, cls = _reduce(rows, tbounds, config.p, classes)
-    labels = tuple(c.label for c in classes) if classes else None
     return CensusResult(
         config=config,
         trace_bounds=tbounds,
         psi=psi,
-        class_labels=labels,
-        class_psi=cls if labels else None,
+        class_psi=cls if classes else None,
         table_limit=table.limit,
     )

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .analysis import class_report, density_rows, error_exponent_fit
-from .census import RunConfig, run_census
+from .census import POOL_BLOCKS, RunConfig, run_census
 from .sl2fp import class_list, class_mass, group_order
 
 CSV_HEADER = "x,p,a,psi_a,psi_pm,predicted,abs_err,rel_err"
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(sp):
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes, at most one per 10 blocks of trace lines (default 1)")
+                        help="worker processes, at most one per %d blocks of trace lines (default 1)"
+                        % POOL_BLOCKS)
 
     sp = sub.add_parser("census", help="run the residue-mass census")
     sp.add_argument("--x", type=int, required=True, help="norm bound")

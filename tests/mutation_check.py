@@ -26,49 +26,52 @@ MUTANTS = [
      "    return [math.fsum(rows[a:b]) for a, b in zip(ends, ends[1:])]",
      "    return [sum(rows[a:b]) for a, b in zip(ends, ends[1:])]"),
     ("census.py",
-     "psi = np.array([[math.fsum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])",
-     "psi = np.array([[sum(w[a : tb + 1 : p]) for a in range(p)] for tb in tbounds])"),
+     "    psi = np.array([[math.fsum(cols[0][a : tb + 1 : p]) for a in range(p)] for tb in tbounds])",
+     "    psi = np.array([[sum(cols[0][a : tb + 1 : p]) for a in range(p)] for tb in tbounds])"),
     ("census.py",
-     "    cls = np.array([[math.fsum(s.get(c.label, 0.0) for s in shares[c.trace : tb + 1 : p])",
-     "    cls = np.array([[sum(s.get(c.label, 0.0) for s in shares[c.trace : tb + 1 : p])"),
+     "    cls = np.array([[math.fsum(v for j in picks.get(c.label, (0,)) for v in cols[j][c.trace : tb + 1 : p])",
+     "    cls = np.array([[sum(v for j in picks.get(c.label, (0,)) for v in cols[j][c.trace : tb + 1 : p])"),
+    # the row columns offset to t = 3, and the four empty columns of a run
+    # that weighs no line
     ("census.py",
-     "    shares = [{}] * 3 + [split for _, split in rows]",
-     "    shares = [{}] * 2 + [split for _, split in rows]"),
+     "    cols = [[0.0] * 3 + list(col) for col in zip(*rows)] if rows else [[0.0] * 3] * 4",
+     "    cols = [[0.0] * 2 + list(col) for col in zip(*rows)] if rows else [[0.0] * 3] * 4"),
+    ("census.py",
+     "    cols = [[0.0] * 3 + list(col) for col in zip(*rows)] if rows else [[0.0] * 3] * 4",
+     "    cols = [[0.0] * 3 + list(col) for col in zip(*rows)] if rows else [[0.0] * 3] * 1"),
     ("census.py",
      "    return math.isqrt((x + 1) ** 2 // x)",
      "    return math.isqrt((x + 2) ** 2 // x)"),
     ("census.py",
-     "        twist = F if d0 == p else 0",
-     "        twist = F if d0 != p else 0"),
+     "    twist = F if d0 == p else 0",
+     "    twist = F if d0 != p else 0"),
     # twist is the product of sum_j c_j (q/p)^(k - j); with (q/p) -> 1 that
     # product is kept, the sum over every splitting with p not dividing m
     ("census.py",
-     "        twist = F if d0 == p else 0",
-     "        twist = kept if d0 == p else 0"),
+     "    twist = F if d0 == p else 0",
+     "    twist = kept if d0 == p else 0"),
     ("census.py",
      "        kept *= c[k] if q == p else sum(c)",
      "        kept *= sum(c)"),
     ("census.py",
-     "        s = 1 if (t - 2) % p == 0 else -1",
-     "        s = 1 if (t + 2) % p == 0 else -1"),
-    # the lines and the classes of trace +-2 are picked by one predicate;
-    # each of it and its two uses is mutated on its own
+     "    return d0, total, (2 * (total - kept), kept + twist, kept - twist)",
+     "    return d0, total, ((total - kept), kept + twist, kept - twist)"),
+    # the class columns: the classes of trace -2 left out, the columns
+    # shifted onto the weight, lone classes reading a share column, and the
+    # unipotent g = 1 and g = nu swapped, which only the lines with D0 = p
+    # tell apart, as only there kept + twist and kept - twist differ
     ("census.py",
-     "    return (a - 2) % p == 0 or (a + 2) % p == 0",
-     "    return (a - 2) % p == 0 or (a + 1) % p == 0"),
+     "    for s in {1, p - 1}:  # one sign when p = 2",
+     "    for s in {1}:  # one sign when p = 2"),
     ("census.py",
-     "    if labels is not None and _shared_residue(p, t):",
-     "    if labels is not None and _shared_residue(p, t + 1):"),
+     "        for j, g in enumerate((0, 1, nonresidue(p) if p > 2 else 1), 1):",
+     "        for j, g in enumerate((0, 1, nonresidue(p) if p > 2 else 1), 0):"),
     ("census.py",
-     "                     if _shared_residue(p, c.trace) else psi[i, c.trace] for c in classes]",
-     "                     if _shared_residue(p, c.trace + 1) else psi[i, c.trace] for c in classes]"),
-    # a memo key that drops what the classes depend on, the sign s
+     "        for j, g in enumerate((0, 1, nonresidue(p) if p > 2 else 1), 1):",
+     "        for j, g in enumerate((0, nonresidue(p) if p > 2 else 1, 1), 1):"),
     ("census.py",
-     "        if s not in labels:",
-     "        if not labels:"),
-    ("census.py",
-     "        for label, n in zip(labels[s], (2 * (total - kept), kept + twist, kept - twist)):",
-     "        for label, n in zip(labels[s], ((total - kept), kept + twist, kept - twist)):"),
+     "    cls = np.array([[math.fsum(v for j in picks.get(c.label, (0,)) for v in cols[j][c.trace : tb + 1 : p])",
+     "    cls = np.array([[math.fsum(v for j in picks.get(c.label, (1,)) for v in cols[j][c.trace : tb + 1 : p])"),
     # the Euler terms c_j = q^(j-1) (q - chi_D0(q))
     ("lfunctions.py",
      "    return [1] + [q ** (j - 1) * step for j in range(1, k + 1)]",
@@ -150,6 +153,7 @@ TESTS = [
     "tests/test_numtheory.py::test_pickled_table_factorizes_identically",
     "tests/test_census.py::test_pool_never_exceeds_blocks_or_cpus",
     "tests/test_census.py::test_far_line_weights_and_shares_match_cycles_times_units",
+    "tests/test_census.py::test_class_resolved_run_without_lines_is_all_zero",
 ]
 
 

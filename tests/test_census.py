@@ -48,23 +48,26 @@ def test_reduce_rounds_the_exact_sum_of_each_mass_once(monkeypatch):
     run_census(RunConfig(p=5, norm_bounds=(10**3, 10**4, 10**5), resolve_classes=True))
     [(rows, tbounds, classes, (psi, cls))] = seen
     lines = list(enumerate(rows, 3))
+    picks = census._class_columns(5)
     for i, tb in enumerate(tbounds):
         for a in range(5):
-            exact = sum(Fraction(w) for t, (w, _) in lines if t <= tb and t % 5 == a)
+            exact = sum(Fraction(row[0]) for t, row in lines if t <= tb and t % 5 == a)
             assert psi[i, a] == float(exact), (tb, a)
         for k, c in enumerate(classes):
             # a class alone on its trace residue takes each of its lines whole
             alone = [other.trace for other in classes].count(c.trace) == 1
-            exact = sum(Fraction(w if alone else split.get(c.label, 0.0))
-                        for t, (w, split) in lines if t <= tb and t % 5 == c.trace)
+            assert alone == (c.label not in picks), c.label
+            exact = sum(Fraction(row[j]) for t, row in lines if t <= tb and t % 5 == c.trace
+                        for j in picks.get(c.label, (0,)))
             assert cls[i, k] == float(exact), (tb, k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 101, 1009])
 def test_only_classes_of_trace_pm2_are_split(p, monkeypatch):
     # a class alone on its trace residue has that residue's mass, bit for
-    # bit; only the lines t = +-2 (mod p) carry class shares, and only for
-    # classes of their own residue.  T(1.05e6) = 1024 reaches t = 1007, 1011.
+    # bit; only the classes of trace +-2 own share columns, and on each of
+    # the two residues they own columns 1, 2 and 3 once each, so their
+    # masses sum to the residue's.  T(1.05e6) = 1024 reaches t = 1007, 1011.
     seen = []
     real = census._reduce
 
@@ -74,22 +77,25 @@ def test_only_classes_of_trace_pm2_are_split(p, monkeypatch):
 
     monkeypatch.setattr(census, "_reduce", spy)
     classes = sl2fp.class_list(p)
+    picks = census._class_columns(p)
+    shared = {2 % p, -2 % p}
+    assert set(picks) == {c.label for c in classes if c.trace in shared}
+    for a in shared:
+        owned = [j for c in classes if c.trace == a for j in picks[c.label]]
+        assert sorted(owned) == [1, 2, 3], a
     for workers in (1, 2):
         res = run_census(RunConfig(p=p, norm_bounds=(10**3, 10**5, 1_050_000), workers=workers,
                                    resolve_classes=True))
         for k, c in enumerate(classes):
-            if [other.trace for other in classes].count(c.trace) == 1:
+            if c.label not in picks:
                 assert res.class_psi[:, k].tobytes() == res.psi[:, c.trace].tobytes(), c.label
-        split_lines = set()
-        for t, (_, split) in enumerate(seen.pop(), 3):
-            if not ((t - 2) % p == 0 or (t + 2) % p == 0):
-                assert split == {}, t
-                continue
-            split_lines.add(t)
-            assert split and {c.trace for c in classes if c.label in split} == {t % p}, t
-            assert set(split) <= {c.label for c in classes}, t
+        for a in shared:
+            split = sum(res.class_psi[:, k] for k, c in enumerate(classes) if c.trace == a)
+            np.testing.assert_allclose(split, res.psi[:, a], rtol=1e-14, atol=0)
+        rows = seen.pop()
+        assert len(rows) == res.trace_bounds[-1] - 2 and {len(row) for row in rows} == {4}
         want = {t for t in (p - 2, p + 2, 2 * p - 2, 2 * p + 2) if 3 <= t <= res.trace_bounds[-1]}
-        assert split_lines >= want and want
+        assert want and all(sum(rows[t - 3][1:]) > 0 for t in want)
     assert not seen
 
 
@@ -206,7 +212,6 @@ def test_worker_count_does_not_change_bits_with_classes():
     r4 = run_census(RunConfig(workers=4, **kw))
     assert np.array_equal(r1.psi, r4.psi)
     assert np.array_equal(r1.class_psi, r4.class_psi)
-    assert r1.class_labels == r4.class_labels
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,7 +274,7 @@ def test_block_series_is_bitwise_l_value_on_every_line_to_1e6():
         d0 = {t: s[-1][1] for t, s in splittings.items()}
         series = lfunctions.cohen_series([d0[t] for t in block], TABLE)
         rows = census._weigh_block(config, TABLE, block)
-        for t, value, (w, _) in zip(block, series, rows):
+        for t, value, (w,) in zip(block, series, rows):
             lval = lfunctions.l_value(d0[t], TABLE)
             assert (value / math.sqrt(d0[t])).hex() == lval.hex(), t
             m0 = splittings[t][-1][0]
@@ -364,7 +369,7 @@ def test_pool_workers_leave_ctrl_c_to_the_parent(monkeypatch, real_pool):
 def test_class_resolution_consistency():
     res = run_census(RunConfig(p=5, norm_bounds=(500, 2000), resolve_classes=True))
     classes = sl2fp.class_list(5)
-    assert res.class_labels == tuple(c.label for c in classes)
+    assert res.class_psi.shape == (2, len(classes))
     # grouping the class masses by trace residue recovers psi
     for i in range(2):
         by_trace = [0.0] * 5
@@ -374,6 +379,17 @@ def test_class_resolution_consistency():
         np.testing.assert_allclose(
             res.class_psi[i].sum(), res.psi[i].sum(), rtol=1e-9
         )
+
+
+def test_class_resolved_run_without_lines_is_all_zero(capsys):
+    # T = 2 at both bounds, so no line is weighed and every mass is 0.0
+    for p in (2, 3, 5):
+        res = run_census(RunConfig(p, norm_bounds=(1, 6), resolve_classes=True))
+        assert res.trace_bounds == (2, 2)
+        assert res.psi.shape == (2, p) and np.all(res.psi == 0.0), p
+        assert res.class_psi.shape == (2, len(sl2fp.class_list(p))) and np.all(res.class_psi == 0.0), p
+    assert cli.main(["by-class", "--x", "1", "--p", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_folded_masses():
@@ -418,13 +434,20 @@ def _weighed_lines(config):
         yield from zip(block, census._weigh_block(config, TABLE, block))
 
 
+def _line_class_masses(t, row, p, classes):
+    """Line t's part of each class mass, from the row columns the class owns."""
+    picks = census._class_columns(p)
+    return [math.fsum(row[j] for j in picks.get(c.label, (0,))) if c.trace == t % p else 0.0
+            for c in classes]
+
+
 def test_every_line_weight_matches_cycles_times_units():
+    # a run without classes carries the weight alone on each line
     config = RunConfig(p=3, norm_bounds=(10**6,))
     worst = 0.0
-    for t, (w, split) in _weighed_lines(config):
+    for t, (w,) in _weighed_lines(config):
         want = _weight_by_cycles(t)
         worst = max(worst, abs(w - want) / want)
-        assert split == {}
     assert worst <= 1e-14
 
 
@@ -453,14 +476,13 @@ def test_far_line_weights_and_shares_match_cycles_times_units(monkeypatch):
             want = _weight_by_cycles(t, table)
             for p in (3, 5):
                 config = RunConfig(p=p, norm_bounds=(10,), resolve_classes=True)
-                [(w, split)] = census._weigh_block(config, table, range(t, t + 1))
-                worst = max(worst, abs(w - want) / want)
-                if not census._shared_residue(p, t):
+                [row] = census._weigh_block(config, table, range(t, t + 1))
+                worst = max(worst, abs(row[0] - want) / want)
+                if t % p not in (2 % p, -2 % p):
                     continue
                 classes = sl2fp.class_list(p)
                 refs = oracles.class_split_by_cycles(t, p, {c.label: i for i, c in enumerate(classes)}, table)
-                for c, ref in zip(classes, refs):
-                    got = split.get(c.label, 0.0)
+                for c, got, ref in zip(classes, _line_class_masses(t, row, p, classes), refs):
                     assert (got == 0.0) == (ref == 0.0), (t, p, c.label)
                     worst = max(worst, abs(got - ref) / ref if ref else 0.0)
     assert worst <= 1e-14
@@ -496,13 +518,13 @@ def test_backend_fields_change_nothing():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 29])
 def test_genus_rule_matches_cycle_walk(p):
     # off t = +-2 (mod p) every cycle lies in the one class of trace t mod p,
-    # which _reduce gives the residue's mass, and the line carries no shares;
-    # on it, half of each line's doubled shares is, exactly, the sum over its
-    # splittings of their Euler multipliers spread over their cycles'
-    # classes.  One label memo serves every line, as in a block, so a memo
-    # keyed on less than the sign s would hand a later line the wrong classes.
+    # which _reduce gives the residue's mass; on it, half of the doubled
+    # shares in each class's columns is, exactly, the sum over the line's
+    # splittings of their Euler multipliers spread over their cycles' classes
     classes = sl2fp.class_list(p)
-    labels, d0_is_p, p_divides_f = {}, set(), set()
+    trace = {c.label: c.trace for c in classes}
+    picks = census._class_columns(p)
+    d0_is_p, p_divides_f = set(), set()
     for t in range(3, 700):
         splittings = trace_decompositions(t, TABLE)
         f, d0 = splittings[-1]
@@ -510,18 +532,23 @@ def test_genus_rule_matches_cycle_walk(p):
             d0_is_p.add(t)
             if f % p == 0:
                 p_divides_f.add(t)
+        shared = t % p in (2 % p, -2 % p)
         want = Counter()
         for m, d in splittings:
             walked = oracles.cycle_classes(t, m, d, p)
-            if not census._shared_residue(p, t):
+            if not shared:
                 [alone] = [c.label for c in classes if c.trace == t % p]
                 assert set(walked) == {alone}, (t, m, d)
                 continue
             mult = lfunctions.euler_multiplier(d0, f // m, TABLE)
             for label in walked:
                 want[label] += Fraction(mult, len(walked))
-        _, _, doubled = census._weigh_line(t, TABLE, p, labels)
-        assert {label: Fraction(n, 2) for label, n in doubled.items()} == want, t
+        if not shared:
+            continue
+        _, _, doubled = census._weigh_line(t, TABLE, p)
+        got = {label: Fraction(sum(doubled[j - 1] for j in cols), 2)
+               for label, cols in picks.items() if trace[label] == t % p}
+        assert {label: n for label, n in got.items() if n} == want, t
     # the lines with D0 = p, where the genus character is trivial; on
     # t = 123, 123^2 - 4 = 5 * 55^2, p also divides F
     assert d0_is_p >= {5: {3, 7, 18, 47, 123}, 13: {11}}.get(p, set())
@@ -532,14 +559,17 @@ def test_line_multiplier_sum_is_one_euler_product():
     # for every t < 20000, with t*t - 4 = D0 * F^2: the splittings' Euler
     # multipliers sum to the product of euler_terms' local sums over q^k || F,
     # and weighted by chi_D0(m) they sum to F, the twist of a line's classes
-    # when D0 = p
+    # when D0 = p.  The doubled shares are 2 (total - kept), kept + twist and
+    # kept - twist, kept the sum over the splittings with p not dividing m.
     table = build_spf_table(20016)
     for t in range(3, 20000):
         splittings = trace_decompositions(t, table)
         f, d0 = splittings[-1]
         mults = {m: lfunctions.euler_multiplier(d0, f // m, table) for m, _ in splittings}
-        assert census._weigh_line(t, table, 5) == (d0, sum(mults.values()), {}), t
         assert sum(n * kronecker(d0, m) for m, n in mults.items()) == f, t
+        total, kept = sum(mults.values()), sum(n for m, n in mults.items() if m % 5)
+        twist = f if d0 == 5 else 0
+        assert census._weigh_line(t, table, 5) == (d0, total, (2 * (total - kept), kept + twist, kept - twist)), t
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -548,12 +578,10 @@ def test_every_class_share_matches_cycles_times_units(p):
     classes = sl2fp.class_list(p)
     label_index = {c.label: i for i, c in enumerate(classes)}
     worst = 0.0
-    for t, (w, split) in _weighed_lines(config):
+    for t, row in _weighed_lines(config):
         want = oracles.class_split_by_cycles(t, p, label_index, TABLE)
         # off t = +-2 (mod p) the line goes whole to the one class of its residue
-        shared = census._shared_residue(p, t)
-        for c, ref in zip(classes, want):
-            got = split.get(c.label, 0.0) if shared else (w if c.trace == t % p else 0.0)
+        for c, got, ref in zip(classes, _line_class_masses(t, row, p, classes), want):
             assert (got == 0.0) == (ref == 0.0), t
             worst = max(worst, abs(got - ref) / ref if ref else 0.0)
     assert worst <= 1e-14

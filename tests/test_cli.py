@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from tracecensus import census, cli, lfunctions, sl2fp
+from tracecensus import census, cli, lfunctions
 from tracecensus.analysis import density_error_series, error_exponent_fit
 from tracecensus.census import RunConfig, run_census
 from tracecensus.cli import CSV_HEADER, _checkpoint_grid, _load_error_series, main
@@ -301,11 +301,11 @@ def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, real_po
 def test_failing_class_line_fails_by_class(capsys, tmp_path, monkeypatch, real_pool, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
-    # t = 4 = -2 (mod 3) is the first line split between classes; its one
-    # splitting (1, 12) is labelled from the matrix -(I + N), N = (0, 0, -1, 0)
-    _plant_failure(monkeypatch, sl2fp, "classify", (-1, 0, 1, -1))
+    # t = 7 = -2 (mod 3) is a line split between classes, and the first
+    # whose D0 = 5 takes an Euler factor: 49 - 4 = 5 * 3^2
+    _plant_failure(monkeypatch, lfunctions, "euler_terms", 5)
     monkeypatch.setattr(census, "BLOCK_ELEMENTS", 2**11)
-    _assert_fails_at_line(capsys, tmp_path, 4,
+    _assert_fails_at_line(capsys, tmp_path, 7,
                           "by-class", "--x", "3000", "--p", "3", "--threads", str(threads))
     assert real_pool == ([2] if threads > 1 else [])
 
