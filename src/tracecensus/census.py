@@ -16,13 +16,15 @@ summand Soundararajan and Young (2013) start from: one L-value per line, no
 forms walked (line_weight(D, backend="exact") is the oracle).  Only t = +-2
 (mod p) holds more than one SL2(F_p) class to split a line between.
 
-Each line's weight is a pure function of t.  run_census cuts the trace
+Each line's weight is a pure function of t.  run_censuses cuts the trace
 range into blocks of consecutive lines, weighs each block with one
-vectorised cohen_series pass over its lines' L-values, and maps the blocks
-serially or over a process pool.  The line weights are stored in a vector
-indexed by t and every residue mass is one math.fsum (Shewchuk's correctly
-rounded summation) over its lines, so results are bit-identical whatever
-the worker count or the blocks.
+vectorised cohen_series pass over its lines' L-values, shared by every
+prime of the run, and maps the blocks serially or over a process pool;
+each line is still walked once per prime, for its class shares, until
+ROADMAP item 2.  The line weights are stored in a vector indexed by t and
+every residue mass is one math.fsum (Shewchuk's correctly rounded
+summation) over its lines, so results are bit-identical whatever the
+worker count or the blocks.
 """
 
 from __future__ import annotations
@@ -155,28 +157,29 @@ def _weigh_line(t: int, table: SpfTable, p: int) -> tuple[int, int, tuple[int, i
     return d0, total, (2 * (total - kept), kept + twist, kept - twist)
 
 
-def _weigh_block(config: RunConfig, table: SpfTable, lines: range) -> list[tuple[float, ...]]:
-    """Each line's row: _weigh_line's 2 total and, resolving classes, doubled, times sqrt(D0) L(1, chi_D0).
+def _weigh_block(configs: Sequence[RunConfig], table: SpfTable, lines: range) -> list[list[tuple[float, ...]]]:
+    """Each config's line rows: _weigh_line's 2 total and, resolving classes, doubled, times sqrt(D0) L(1, chi_D0).
 
-    All of a block's L-values come from one cohen_series pass.  A failure is
-    raised again naming its line, or the block's lines if in that pass.
+    The configs share one cohen_series pass over the block's L-values.  A
+    failure is raised again naming its line, or the block's lines if in that pass.
     """
     parts = []
     for t in lines:
         try:
-            parts.append(_weigh_line(t, table, config.p))
+            parts.append([_weigh_line(t, table, c.p) for c in configs])
         except Exception as exc:
             raise RuntimeError("trace line t=%d: %s" % (t, exc)) from exc
     try:
-        series = lfunctions.cohen_series([d0 for d0, _, _ in parts], table)
+        series = lfunctions.cohen_series([line[0][0] for line in parts], table)
     except Exception as exc:
         raise RuntimeError("trace lines t=%d..%d: %s" % (lines[0], lines[-1], exc)) from exc
-    rows = []
-    for (d0, mult, doubled), value in zip(parts, series):
-        root = math.sqrt(d0)
+    rows: list[list[tuple[float, ...]]] = [[] for _ in configs]
+    for line, value in zip(parts, series):
+        root = math.sqrt(line[0][0])
         lval = value / root  # L(1, chi_D0) rounded as l_value(d0) rounds it
-        row = (2.0 * mult * root * lval,)
-        rows.append(row + tuple(n * root * lval for n in doubled) if config.resolve_classes else row)
+        for config, (_, mult, doubled), out in zip(configs, line, rows):
+            row = (2.0 * mult * root * lval,)
+            out.append(row + tuple(n * root * lval for n in doubled) if config.resolve_classes else row)
     return rows
 
 
@@ -207,8 +210,8 @@ def _class_columns(p: int) -> dict[sl2fp.Label, list[int]]:
 
 
 def _reduce(rows: Sequence[tuple[float, ...]], tbounds: Sequence[int], p: int,
-            classes: Sequence[sl2fp.ConjClass]) -> tuple[np.ndarray, np.ndarray]:
-    """Checkpointed residue and class masses from the line rows of t = 3, 4, ...
+            classes: Sequence[sl2fp.ConjClass]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Checkpointed residue and class masses (None without classes) from the line rows of t = 3, 4, ...
 
     The row columns land in lists indexed by t, and every mass is one
     correctly rounded math.fsum over its residue's lines of the columns it
@@ -218,7 +221,7 @@ def _reduce(rows: Sequence[tuple[float, ...]], tbounds: Sequence[int], p: int,
     picks = _class_columns(p) if classes else {}
     psi = np.array([[math.fsum(cols[0][a : tb + 1 : p]) for a in range(p)] for tb in tbounds])
     cls = np.array([[math.fsum(v for j in picks.get(c.label, (0,)) for v in cols[j][c.trace : tb + 1 : p])
-                     for c in classes] for tb in tbounds])
+                     for c in classes] for tb in tbounds]) if classes else None
     return psi, cls
 
 
@@ -264,20 +267,31 @@ def _ignore_interrupt() -> None:
 
 
 def run_census(config: RunConfig) -> CensusResult:
-    """Run the census at every checkpoint in config.norm_bounds.
+    """Run the census at every checkpoint in config.norm_bounds."""
+    return run_censuses([config])[0]
 
-    The trace lines go in blocks to a process pool of at most workers, block
-    count // POOL_BLOCKS and CPU count processes when that is more than one,
-    else in turn in this process.  A worker that dies raises RuntimeError
-    and KeyboardInterrupt cancels the pending blocks; both name the lines
-    not weighed.
+
+def run_censuses(configs: Sequence[RunConfig]) -> list[CensusResult]:
+    """Run one census per config, in order, sharing each block's L-value pass.
+
+    The configs may differ in p and resolve_classes but must share
+    norm_bounds and workers.  The trace lines go in blocks to a process pool
+    of at most workers, block count // POOL_BLOCKS and CPU count processes
+    when that is more than one, else in turn in this process.  A worker that
+    dies raises RuntimeError and KeyboardInterrupt cancels the pending
+    blocks; both name the lines not weighed.
     """
+    if not configs:
+        raise ValueError("at least one census config is required")
+    for field in ("norm_bounds", "workers"):
+        if len({getattr(c, field) for c in configs}) > 1:
+            raise ValueError("the censuses of one run must share %s" % field)
+    config = configs[0]
     table = build_spf_table(required_table_limit(config.norm_bounds[-1]))
     tbounds = tuple(trace_bound(x) for x in config.norm_bounds)
-    classes = sl2fp.class_list(config.p) if config.resolve_classes else ()
-    weigh = functools.partial(_weigh_block, config, table)
+    weigh = functools.partial(_weigh_block, tuple(configs), table)
     blocks = _blocks(tbounds[-1])
-    rows: list[tuple[float, ...]] = []
+    rows: list[list[tuple[float, ...]]] = [[] for _ in configs]
     pool = None
     procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())
     try:
@@ -288,22 +302,18 @@ def run_census(config: RunConfig) -> CensusResult:
         else:
             results = map(weigh, blocks)
         for block_rows in results:
-            rows.extend(block_rows)
+            for out, part in zip(rows, block_rows):
+                out.extend(part)
     except BrokenProcessPool as exc:
         raise RuntimeError("trace lines t=%d..%d: a worker process died"
-                           % (3 + len(rows), tbounds[-1])) from exc
+                           % (3 + len(rows[0]), tbounds[-1])) from exc
     except KeyboardInterrupt as exc:
         raise KeyboardInterrupt("trace lines t=%d..%d were not weighed"
-                                % (3 + len(rows), tbounds[-1])) from exc
+                                % (3 + len(rows[0]), tbounds[-1])) from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    psi, cls = _reduce(rows, tbounds, config.p, classes)
-    return CensusResult(
-        config=config,
-        trace_bounds=tbounds,
-        psi=psi,
-        class_psi=cls if classes else None,
-        table_limit=table.limit,
-    )
+    classes = [sl2fp.class_list(c.p) if c.resolve_classes else () for c in configs]
+    return [CensusResult(c, tbounds, *_reduce(part, tbounds, c.p, cl), table_limit=table.limit)
+            for c, part, cl in zip(configs, rows, classes)]

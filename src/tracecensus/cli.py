@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .analysis import class_report, density_rows, error_exponent_fit
-from .census import POOL_BLOCKS, RunConfig, run_census
+from .census import POOL_BLOCKS, RunConfig, run_census, run_censuses
 from .sl2fp import class_list, class_mass, group_order
 
 CSV_HEADER = "x,p,a,psi_a,psi_pm,predicted,abs_err,rel_err"
@@ -120,7 +120,7 @@ def _cmd_census(args) -> str:
     if len(set(primes)) < len(primes):
         raise ValueError("repeated --p in %s" % ", ".join(map(str, primes)))
     xs = _checkpoint_grid(args.x, args.checkpoints)
-    results = [run_census(RunConfig(p=p, norm_bounds=xs, workers=args.threads)) for p in primes]
+    results = run_censuses([RunConfig(p=p, norm_bounds=xs, workers=args.threads) for p in primes])
     if args.format == "csv":
         return _series_csv(results)
     return json.dumps(_series_doc(results), indent=1) + "\n"

@@ -117,6 +117,10 @@ MUTANTS = [
     ("quadforms.py",
      "    return sorted(f for cycle in class_cycles(D) for f in cycle)",
      "    return list(f for cycle in class_cycles(D) for f in cycle)"),
+    # every config of a batch handed the first config's class shares
+    ("census.py",
+     "        for config, (_, mult, doubled), out in zip(configs, line, rows):",
+     "        for config, (_, mult, doubled), out in zip(configs, [line[0]] * len(configs), rows):"),
     # a pool process for every block, however little work each one shares
     ("census.py",
      "    procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())",
@@ -154,6 +158,7 @@ TESTS = [
     "tests/test_census.py::test_pool_never_exceeds_blocks_or_cpus",
     "tests/test_census.py::test_far_line_weights_and_shares_match_cycles_times_units",
     "tests/test_census.py::test_class_resolved_run_without_lines_is_all_zero",
+    "tests/test_census.py::test_mixed_batch_matches_one_run_per_config",
 ]
 
 

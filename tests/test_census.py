@@ -227,7 +227,7 @@ def test_lines_in_any_order_give_identical_bits(x, p, resolve, data):
     tbounds = tuple(trace_bound(xi) for xi in config.norm_bounds)
     classes = sl2fp.class_list(p) if resolve else ()
     order = data.draw(st.permutations(range(3, tbounds[-1] + 1)))
-    rows = {t: census._weigh_block(config, TABLE, range(t, t + 1))[0] for t in order}
+    rows = {t: census._weigh_block([config], TABLE, range(t, t + 1))[0][0] for t in order}
     psi, cls = census._reduce([rows[t] for t in sorted(rows)], tbounds, p, classes)
     for workers in (1, 2, 3):
         res = run_census(dataclasses.replace(config, workers=workers))
@@ -263,6 +263,63 @@ def test_results_do_not_depend_on_blocks_or_workers(x, p, resolve, budget):
                 assert got.class_psi.tobytes() == want.class_psi.tobytes()
 
 
+# (p, resolve_classes) of one batch; p = 2 first and without classes, so a
+# batch that gave every config the first config's shares would show
+MIXED_BATCH = ((2, False), (3, True), (5, False), (13, True), (101, True))
+
+
+def _assert_batch_matches_single_runs(norm_bounds, workers=1):
+    configs = [RunConfig(p=p, norm_bounds=norm_bounds, workers=workers, resolve_classes=resolve)
+               for p, resolve in MIXED_BATCH]
+    batch = census.run_censuses(configs)
+    assert [res.config for res in batch] == configs
+    for config, got in zip(configs, batch):
+        want = run_census(config)
+        assert (got.trace_bounds, got.table_limit) == (want.trace_bounds, want.table_limit)
+        assert got.psi.tobytes() == want.psi.tobytes(), config.p
+        if config.resolve_classes:
+            assert got.class_psi.tobytes() == want.class_psi.tobytes(), config.p
+        else:
+            assert got.class_psi is None and want.class_psi is None
+
+
+@pytest.mark.parametrize("x", [10**3, 3 * 10**5])
+def test_mixed_batch_matches_one_run_per_config(x):
+    # the configs of a batch share each block's series pass, and each takes
+    # its own class shares, which differ between primes on lines such as
+    # t = 7 (p = 3 divides F), t = 23 (5 divides F) and t = 11 (D0 = 13)
+    _assert_batch_matches_single_runs((x // 10, x))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_batch_matches_one_run_per_config_in_a_pool(monkeypatch, real_pool, workers):
+    # the blocks are cut in this process, so the patch needs no forked pool
+    monkeypatch.setattr(census, "BLOCK_ELEMENTS", 2**14)
+    assert len(census._blocks(trace_bound(3 * 10**5))) > 10
+    _assert_batch_matches_single_runs((3 * 10**4, 3 * 10**5), workers)
+    # one pool for the batch, and one for each of its five single runs
+    assert real_pool == ([2] * 6 if workers > 1 else [])
+
+
+def test_batch_takes_one_series_pass_per_block_and_walks_per_prime(monkeypatch):
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lfunctions, "cohen_series", counted("series", lfunctions.cohen_series))
+    monkeypatch.setattr(census, "trace_decompositions", counted("walk", census.trace_decompositions))
+    configs = [RunConfig(p=p, norm_bounds=(10**4, 10**6)) for p in (3, 5, 7)]
+    results = census.run_censuses(configs)
+    t_max = results[0].trace_bounds[-1]
+    assert calls == {"series": len(census._blocks(t_max)), "walk": 3 * (t_max - 2)}
+    assert calls["series"] > 1
+
+
 def test_block_series_is_bitwise_l_value_on_every_line_to_1e6():
     # and every line weight is 2 n sqrt(D0) L(1, chi_D0) with L the one-row
     # l_value, n the splittings' Euler multiplier sum, rounded in that order
@@ -273,7 +330,7 @@ def test_block_series_is_bitwise_l_value_on_every_line_to_1e6():
         splittings = {t: trace_decompositions(t, TABLE) for t in block}
         d0 = {t: s[-1][1] for t, s in splittings.items()}
         series = lfunctions.cohen_series([d0[t] for t in block], TABLE)
-        rows = census._weigh_block(config, TABLE, block)
+        [rows] = census._weigh_block([config], TABLE, block)
         for t, value, (w,) in zip(block, series, rows):
             lval = lfunctions.l_value(d0[t], TABLE)
             assert (value / math.sqrt(d0[t])).hex() == lval.hex(), t
@@ -431,7 +488,7 @@ def _weight_by_cycles(t, table=TABLE):
 def _weighed_lines(config):
     """(t, row) for every line up to the last bound, weighed block by block."""
     for block in census._blocks(trace_bound(config.norm_bounds[-1])):
-        yield from zip(block, census._weigh_block(config, TABLE, block))
+        yield from zip(block, census._weigh_block([config], TABLE, block)[0])
 
 
 def _line_class_masses(t, row, p, classes):
@@ -476,7 +533,7 @@ def test_far_line_weights_and_shares_match_cycles_times_units(monkeypatch):
             want = _weight_by_cycles(t, table)
             for p in (3, 5):
                 config = RunConfig(p=p, norm_bounds=(10,), resolve_classes=True)
-                [row] = census._weigh_block(config, table, range(t, t + 1))
+                [[row]] = census._weigh_block([config], table, range(t, t + 1))
                 worst = max(worst, abs(row[0] - want) / want)
                 if t % p not in (2 % p, -2 % p):
                     continue
@@ -635,6 +692,17 @@ def test_config_validation():
         trace_decompositions(2, TABLE)
     with pytest.raises(ValueError):
         trace_bound(0)
+
+
+def test_batch_validation():
+    with pytest.raises(ValueError, match="at least one"):
+        census.run_censuses([])
+    base = RunConfig(p=3, norm_bounds=(100, 1000))
+    for field, value in (("norm_bounds", (1000,)), ("workers", 2)):
+        with pytest.raises(ValueError, match=field):
+            census.run_censuses([base, dataclasses.replace(base, p=5, **{field: value})])
+    # p, resolve_classes and the two fields that choose nothing may differ
+    census.run_censuses([base, dataclasses.replace(base, p=5, resolve_classes=True, backend="analytic")])
 
 
 def test_ratio_drifts_toward_one():

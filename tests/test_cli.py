@@ -298,6 +298,19 @@ def test_failing_trace_line_fails_the_run(capsys, tmp_path, monkeypatch, real_po
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_failing_trace_line_fails_a_multi_prime_run(capsys, tmp_path, monkeypatch, real_pool, threads):
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched function reaches pool workers only when they fork")
+    # the three primes weigh their lines in one run, which names the line
+    # as a run of one prime does
+    _plant_failure(monkeypatch, lfunctions, "euler_terms", 8)
+    monkeypatch.setattr(census, "BLOCK_ELEMENTS", 2**11)
+    _assert_fails_at_line(capsys, tmp_path, 6, "census", "--x", "3000", "--p", "3", "--p", "5", "--p", "7",
+                          "--threads", str(threads))
+    assert real_pool == ([2] if threads > 1 else [])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_failing_class_line_fails_by_class(capsys, tmp_path, monkeypatch, real_pool, threads):
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches pool workers only when they fork")
@@ -411,10 +424,10 @@ def test_fit_insufficient_points(capsys, tmp_path):
 
 
 def test_repeated_prime_is_usage_error(capsys, tmp_path, monkeypatch):
-    def no_census(config):
+    def no_census(configs):
         raise AssertionError("a census ran")
 
-    monkeypatch.setattr(cli, "run_census", no_census)
+    monkeypatch.setattr(cli, "run_censuses", no_census)
     out = tmp_path / "r.csv"
     code, text, err = run(capsys, "census", "--x", "200", "--p", "3", "--p", "5", "--p", "3",
                           "--out", str(out))
