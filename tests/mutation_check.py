@@ -119,8 +119,20 @@ MUTANTS = [
      "    return list(f for cycle in class_cycles(D) for f in cycle)"),
     # every config of a batch handed the first config's class shares
     ("census.py",
-     "        for config, (_, mult, doubled), out in zip(configs, line, rows):",
-     "        for config, (_, mult, doubled), out in zip(configs, [line[0]] * len(configs), rows):"),
+     "        for config, (_, _, doubled), out in zip(configs, line, rows):",
+     "        for config, (_, _, doubled), out in zip(configs, [line[0]] * len(configs), rows):"),
+    # the splittings' scan: an odd prime's exponent halved wrongly only from
+    # q^3 on, the 2-adic exponent of t - 2 dropped, and the last power of a
+    # one-prime square part left out
+    ("census.py",
+     "                square_part.append((q, e // 2))",
+     "                square_part.append((q, e - 1))"),
+    ("census.py",
+     "        square_part.append((2, (a + b) // 2))",
+     "        square_part.append((2, b // 2))"),
+    ("census.py",
+     "        ms = [q**j for j in range(k + 1)]",
+     "        ms = [q**j for j in range(k)]"),
     # a pool process for every block, however little work each one shares
     ("census.py",
      "    procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())",
@@ -159,6 +171,7 @@ TESTS = [
     "tests/test_census.py::test_far_line_weights_and_shares_match_cycles_times_units",
     "tests/test_census.py::test_class_resolved_run_without_lines_is_all_zero",
     "tests/test_census.py::test_mixed_batch_matches_one_run_per_config",
+    "tests/test_census.py::test_decompositions_against_divisor_scan",
 ]
 
 

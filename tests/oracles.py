@@ -2,7 +2,8 @@
 
 Nothing here shares algorithmic structure with the production code paths:
 forms come from trial division, units from continued fraction convergents,
-census weights from a discriminant scan, conjugacy classes from an orbit
+census weights from a discriminant scan, the splittings of a trace line
+from trying every m (scan_splittings), conjugacy classes from an orbit
 partition of the whole group, and L-values from the digamma closed form over
 one full period of chi (l_value_digamma) and from direct partial sums of
 chi(n)/n up to a proven tail bound (l_value_truncated).  scan_reduced_forms
@@ -87,6 +88,16 @@ def scan_class_cycles(D):
             f = rho(f, D)
         cycles.append(cycle)
     return cycles
+
+
+def scan_splittings(t: int) -> list[tuple[int, int]]:
+    """Every (m, D) with t*t - 4 = m*m*D and D = 0 or 1 (mod 4), ascending m.
+
+    Tries each m up to sqrt(t*t - 4), so O(t) per line and no factorization.
+    """
+    n = t * t - 4
+    return [(m, n // (m * m)) for m in range(1, math.isqrt(n) + 1)
+            if n % (m * m) == 0 and (n // (m * m)) % 4 in (0, 1)]
 
 
 def matrix_from_form(t: int, m: int, form: Form) -> tuple[int, int, int, int]:

@@ -4,6 +4,7 @@ import inspect
 import math
 import multiprocessing
 import os
+import random
 import signal
 from collections import Counter
 from fractions import Fraction
@@ -130,17 +131,21 @@ def test_decompositions_pinned():
 
 
 def test_decompositions_against_divisor_scan():
-    for t in range(3, 1500):
-        n = t * t - 4
-        want = [
-            (m, n // (m * m))
-            for m in range(1, math.isqrt(n) + 1)
-            if n % (m * m) == 0 and (n // (m * m)) % 4 in (0, 1)
-        ]
-        assert trace_decompositions(t, TABLE) == want, t
-    # t - 2 is in the table and t + 2 is not
-    with pytest.raises(ValueError, match="exceeds the spf table limit"):
-        trace_decompositions(TABLE.limit - 1, TABLE)
+    top = trace_bound(10**8)  # 10 000
+    table = build_spf_table(required_table_limit(10**8))
+    # t - 2 or t + 2 a prime power: 2^k, 3^k and the squares of primes q
+    powers = [q**k for q in (2, 3) for k in range(1, 14)] + [int(q) ** 2 for q in table.primes[table.primes < 100]]
+    drawn = random.Random(29).sample(range(3, top + 1), 1000)
+    ts = set(range(3, 1500)) | {v + s for v in powers for s in (-2, 2) if 3 <= v + s <= top} | set(drawn)
+    assert {t % 4 for t in drawn} == {0, 1, 2, 3}
+    for t in sorted(ts):
+        assert trace_decompositions(t, table) == oracles.scan_splittings(t), t
+    # the table's last line is t = limit - 2; past it t - 2 is in the table
+    # and t + 2 is not, for an odd and an even t
+    assert trace_decompositions(TABLE.limit - 2, TABLE) == oracles.scan_splittings(TABLE.limit - 2)
+    for t in (TABLE.limit - 1, TABLE.limit):
+        with pytest.raises(ValueError, match="exceeds the spf table limit"):
+            trace_decompositions(t, TABLE)
 
 
 def test_matrix_fixes_its_form():
