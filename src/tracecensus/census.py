@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lfunctions
-from .numtheory import SpfTable, build_spf_table, divisors_from_factorization, factorize, nonresidue
+from .numtheory import SpfTable, build_spf_table, divisors_from_factorization, factorize, nonresidue, root_part
 from .quadforms import class_number, fundamental_unit, unit_log
 # unused here, but the benchmark's traced pass rebinds them on this module
 from .quadforms import class_number_and_reps, pell_from_known  # noqa: F401
@@ -69,40 +69,24 @@ def trace_decompositions(t: int, table: SpfTable) -> list[tuple[int, int]]:
     """All pairs (m, D) with t*t - 4 = m*m*D and D a valid discriminant.
 
     Returned in ascending m.  D is automatically a nonsquare for t >= 3.
-    One walk of the spf table over the odd parts of t - 2 and t + 2, which
-    are coprime, keeps the primes whose exponent in t*t - 4 is at least 2;
-    the power of 2 is the sum of the two numbers' 2-adic exponents.
+    One root_part walk of the spf table over the odd parts of t - 2 and
+    t + 2, which are coprime, keeps the primes whose exponent in t*t - 4 is
+    at least 2; the power of 2 is the sum of the two numbers' 2-adic exponents.
     """
     if t < 3:
         raise ValueError("trace must be at least 3")
     if t + 2 > table.limit:
         raise ValueError("trace %d: t + 2 exceeds the spf table limit %d" % (t, table.limit))
-    spf = table.ints
     lo, hi = t - 2, t + 2
-    square_part = []  # (q, e // 2) for q^e || t*t - 4, e >= 2
-    if not t & 1:  # 2^a || t - 2 and 2^b || t + 2, a and b >= 1
+    if t & 1:
+        square_part = root_part((lo, hi), table, 2)
+    else:  # 2^a || t - 2 and 2^b || t + 2, a and b >= 1
         a, b = (lo & -lo).bit_length() - 1, (hi & -hi).bit_length() - 1
-        lo, hi = lo >> a, hi >> b
-        square_part.append((2, (a + b) // 2))
-    for r in (lo, hi):
-        while r > 1:
-            q = spf[r]
-            r //= q
-            e = 1
-            while r % q == 0:
-                r //= q
-                e += 1
-            if e >= 2:
-                square_part.append((q, e // 2))
+        square_part = root_part((lo >> a, hi >> b), table, 2) + [(2, (a + b) // 2)]
     n = t * t - 4
     if not square_part:
         return [(1, n)]  # t*t - 4 = 0 or 1 (mod 4), so n itself is valid
-    if len(square_part) == 1:
-        q, k = square_part[0]
-        ms = [q**j for j in range(k + 1)]
-    else:
-        ms = divisors_from_factorization(square_part)
-    return [(m, d) for m in ms if (d := n // (m * m)) & 3 < 2]
+    return [(m, d) for m in divisors_from_factorization(square_part) if (d := n // (m * m)) & 3 < 2]
 
 
 @dataclass(frozen=True)
@@ -172,7 +156,7 @@ def _weigh_line(t: int, table: SpfTable, p: int) -> tuple[int, int, tuple[int, i
     """
     F, d0 = trace_decompositions(t, table)[-1]  # (F, D0) is the last splitting
     total = kept = 1
-    for q, k in factorize(F, table) if F > 1 else ():
+    for q, k in factorize(F, table):
         c = lfunctions.euler_terms(d0, q, k)
         total *= sum(c)
         kept *= c[k] if q == p else sum(c)

@@ -12,6 +12,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -112,25 +113,35 @@ def is_probable_prime(n: int) -> bool:
 
 
 def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
-    """Prime factorization of n as a sorted list of (prime, exponent).
+    """Prime factorization of n as a sorted list of (prime, exponent); errors as root_part's."""
+    return root_part((n,), table)
 
-    A pure table walk, so 1 <= n <= table.limit is required and larger n
-    raise ValueError.  Callers size the table for what they factor: the
-    census sieve reaches 4T + 16 past every t +- 2.
+
+def root_part(ns: Sequence[int], table: SpfTable, k: int = 1) -> list[tuple[int, int]]:
+    """(q, e // k) for each q^e || n with e >= k, for each n of ns in turn.
+
+    For coprime ns this factors the largest m with m**k dividing their
+    product; k = 1 factors each n.  A pure table walk, so 1 <= n <=
+    table.limit is required and larger n raise ValueError.  Callers size
+    the table for what they factor: the census sieve reaches 4T + 16 past
+    every t +- 2.
     """
-    if n < 1:
-        raise ValueError("factorize expects n >= 1, got %r" % (n,))
-    if n > table.limit:
-        raise ValueError("factorize: %d exceeds the spf table limit %d" % (n, table.limit))
     out: list[tuple[int, int]] = []
     spf = table.ints
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
+    for n in ns:
+        if n < 1:
+            raise ValueError("factorize expects n >= 1, got %r" % (n,))
+        if n > table.limit:
+            raise ValueError("factorize: %d exceeds the spf table limit %d" % (n, table.limit))
+        while n > 1:
+            q = spf[n]
+            n //= q
+            e = 1
+            while n % q == 0:
+                n //= q
+                e += 1
+            if e >= k:
+                out.append((q, e // k))
     return out
 
 
@@ -138,12 +149,7 @@ def divisors_from_factorization(factors: list[tuple[int, int]]) -> list[int]:
     """All positive divisors, ascending."""
     divs = [1]
     for p, e in factors:
-        pe = 1
-        new = list(divs)
-        for _ in range(e):
-            pe *= p
-            new.extend(d * pe for d in divs)
-        divs = new
+        divs = [d * p**j for j in range(e + 1) for d in divs]
     divs.sort()
     return divs
 

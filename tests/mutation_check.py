@@ -122,17 +122,14 @@ MUTANTS = [
      "        for config, (_, _, doubled), out in zip(configs, line, rows):",
      "        for config, (_, _, doubled), out in zip(configs, [line[0]] * len(configs), rows):"),
     # the splittings' scan: an odd prime's exponent halved wrongly only from
-    # q^3 on, the 2-adic exponent of t - 2 dropped, and the last power of a
-    # one-prime square part left out
+    # q^3 on (factorize, k = 1, is untouched), and the 2-adic exponent of
+    # t - 2 dropped
+    ("numtheory.py",
+     "                out.append((q, e // k))",
+     "                out.append((q, e - k + 1))"),
     ("census.py",
-     "                square_part.append((q, e // 2))",
-     "                square_part.append((q, e - 1))"),
-    ("census.py",
-     "        square_part.append((2, (a + b) // 2))",
-     "        square_part.append((2, b // 2))"),
-    ("census.py",
-     "        ms = [q**j for j in range(k + 1)]",
-     "        ms = [q**j for j in range(k)]"),
+     "        square_part = root_part((lo >> a, hi >> b), table, 2) + [(2, (a + b) // 2)]",
+     "        square_part = root_part((lo >> a, hi >> b), table, 2) + [(2, b // 2)]"),
     # a pool process for every block, however little work each one shares
     ("census.py",
      "    procs = min(config.workers, len(blocks) // POOL_BLOCKS, usable_cpus())",

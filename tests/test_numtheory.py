@@ -16,6 +16,7 @@ from tracecensus.numtheory import (
     is_probable_prime,
     is_square,
     kronecker,
+    root_part,
 )
 
 
@@ -128,6 +129,15 @@ def test_pickled_table_factorizes_identically(table):
     used = pickle.loads(pickle.dumps(fresh))
     assert used.limit == fresh.limit
     assert all(factorize(n, used) == factorize(n, table) for n in range(1, table.limit + 1))
+
+
+def test_root_part_halves_the_square_exponents(table):
+    # 12 = 2^2 3 and 25 * 27 = 3^3 5^2: each n's largest m with m^2 | n, in turn
+    assert root_part((12, 25 * 27), table, 2) == [(2, 1), (3, 1), (5, 1)]
+    assert root_part((2**7,), table, 3) == [(2, 2)]
+    assert root_part((7, 1), table, 2) == []
+    with pytest.raises(ValueError, match="exceeds the spf table limit"):
+        root_part((4, table.limit + 1), table, 2)
 
 
 def test_divisors(table):
