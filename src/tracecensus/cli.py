@@ -39,8 +39,6 @@ def _checkpoint_grid(x_max: int, count: int) -> tuple[int, ...]:
         raise ValueError("x must be positive")
     if count < 1:
         raise ValueError("checkpoints must be positive")
-    if x_max <= 100 or count == 1:
-        return (x_max,)
     # the top point is x_max itself: in floats it can land on either side
     top = count - 1
     pts = {min(x_max, round(100.0 * (x_max / 100.0) ** (k / top))) for k in range(top)}
@@ -192,9 +190,7 @@ def _cmd_fit(args) -> str:
     if missing:
         raise ValueError("%s has no rows for p=%s" % (args.infile, ",".join(map(str, missing))))
     lines = []
-    for p in sorted(points_by_p):
-        if args.p and p not in args.p:
-            continue
+    for p in sorted(set(args.p or points_by_p)):
         try:
             fit = error_exponent_fit(points_by_p[p], min_x=args.min_x)
         except ValueError as exc:

@@ -142,8 +142,8 @@ MUTANTS = [
      "    symbols[starts] = 0",
      "    pass"),
     ("lfunctions.py",
-     "    half = qs >> 1",
-     "    half = (qs >> 1) - 1"),
+     "        symbols[start : start + q][squares[: q // 2] % q] = 1",
+     "        symbols[start : start + q][squares[: q // 2 - 1] % q] = 1"),
     # a view that reads the table's int64 buffer as twice as many int32s
     ("numtheory.py",
      "        return np.frombuffer(self.ints, dtype=np.int64)",

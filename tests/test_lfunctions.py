@@ -134,10 +134,16 @@ def test_chi_columns_match_kronecker_for_any_lengths(d0s, lengths):
 
 def test_residue_table_matches_kronecker():
     assert lfunctions.RESIDUE_TOP == 2**12
-    starts, symbols = lfunctions._residue_table(lfunctions.RESIDUE_TOP)
-    odd = BIG.primes[1 : np.searchsorted(BIG.primes, lfunctions.RESIDUE_TOP, side="right")]
-    assert len(starts) == len(odd) and len(symbols) == odd.sum() == 1070089
-    assert starts.tolist() == (np.cumsum(odd) - odd).tolist()
+    # every power-of-two top lays the odd primes up to it end to end, so
+    # each table is the leading part of the next one
+    below = []
+    for top in (2**e for e in range(2, 13)):
+        starts, symbols = lfunctions._residue_table(top)
+        odd = BIG.primes[1 : np.searchsorted(BIG.primes, top, side="right")]
+        assert starts.tolist() == (np.cumsum(odd) - odd).tolist() and len(symbols) == odd.sum(), top
+        assert symbols[: len(below)].tolist() == below, top
+        below = symbols.tolist()
+    assert len(symbols) == 1070089
     for i, q in enumerate(odd.tolist()):
         if q <= 211:
             rs = range(q)
