@@ -21,10 +21,12 @@ range into blocks of consecutive lines, weighs each block with one
 vectorised cohen_series pass over its lines' L-values, shared by every
 prime of the run, and maps the blocks serially or over a process pool;
 each line is still walked once per prime, for its class shares, until
-ROADMAP item 2.  The line weights are stored in a vector indexed by t and
-every residue mass is one math.fsum (Shewchuk's correctly rounded
-summation) over its lines, so results are bit-identical whatever the
-worker count or the blocks.
+ROADMAP item 14 (walk each line once); until then the benchmark's traced
+check that trace lines walked = primes x (T - 2) (perfbench/workloads.py,
+_Census.expected_walks) pins those walks.  The line weights are stored in
+a vector indexed by t and every residue mass is one math.fsum (Shewchuk's
+correctly rounded summation) over its lines, so results are bit-identical
+whatever the worker count or the blocks.
 """
 
 from __future__ import annotations

@@ -23,8 +23,19 @@ fundamental discriminants in one vectorised pass, and l_value is its block
 of one.  Its character table, chi_columns, finds chi_D0(q) only for the
 (odd prime q, D0) pairs with q within that D0's series length: one lookup
 in a per-process cache of Legendre symbols for q <= RESIDUE_TOP = 2^12
-(1.07 MB, built prime by prime), Euler's criterion above.  The tests keep
-Euler's criterion, the digamma sum, direct partial sums and mpmath as oracles.
+(1.07 MB, built prime by prime), Euler's criterion above.  Each D0's terms
+are summed to the correctly rounded value math.fsum gives.  A block of
+ROW_SUM_MIN_TERMS terms or more gets it in a few numpy passes by error-free
+extraction (Rump, Ogita and Oishi, "Accurate floating-point summation, part
+I", SIAM J. Sci. Comput. 31, 2008).  Per row, sigma = 2^(e + m) with
+every |term| < 2^e and n + 2 < 2^m for its n terms splits each term x
+exactly into q = (sigma + x) - sigma, whose sum tau is exact in any order,
+and r = x - q, whose float sum is within err = 2 n^2 2^-106 sigma of exact.
+Where tau plus either end of that interval, widened one float outward
+(lo and hi), rounds to the same float, that float is the sum; any other
+row, and every row of a smaller block, is summed by math.fsum.  The tests
+keep Euler's criterion, the digamma sum, direct partial sums and mpmath as
+oracles.
 """
 
 from __future__ import annotations
@@ -41,6 +52,10 @@ TAIL_REL = 2.0**-53
 # series_length starts at this many terms per sqrt(D0), and census blocks are cut by it
 TERMS_PER_ROOT = 3.7
 RESIDUE_TOP = 2**12  # chi_columns looks chi(q) up in a residue table for odd primes q up to here
+# _row_sums leaves a block of fewer terms wholly to math.fsum: on 1 to 32
+# rows per block its numpy passes lost to one fsum per row at 1024 terms
+# (27 vs 19 us) and won from about 1536 (timeit minima, 2-vCPU x86 VM)
+ROW_SUM_MIN_TERMS = 2048
 
 # kronecker(D0, 2) by D0 mod 8
 _CHI_2 = np.array(KRONECKER_2, dtype=np.int8)
@@ -237,11 +252,14 @@ def cohen_series(d0s: list[int], table: SpfTable) -> list[float]:
 
     One pass for the whole block: the character columns up to each D0's
     series_length, cohen_g over every nonzero term at once, found by one
-    scan of the transposed columns, and one math.fsum per D0.  A term is the
-    same floating-point expression whatever block it is computed in, so each
-    value is bit-identical to a block of one.  The table must reach every
-    series_length(D0), and a series that would need g at or past G_END is
-    refused.
+    scan of the transposed columns, and _row_sums: each D0's correctly
+    rounded sum, from Rump, Ogita and Oishi's error-free extraction where
+    the error bound 2 n^2 2^-106 sigma certifies it, else math.fsum, as in
+    any block of fewer than ROW_SUM_MIN_TERMS terms.  A term is the same
+    floating-point expression whatever block it is computed in, and its sum
+    is rounded once, so each value is bit-identical to a block of one.  The
+    table must reach every series_length(D0), and a series that would need
+    g at or past G_END is refused.
     """
     lengths = [series_length(d0) for d0 in d0s]
     inv_roots = [1.0 / math.sqrt(d0) for d0 in d0s]
@@ -261,8 +279,43 @@ def cohen_series(d0s: list[int], table: SpfTable) -> list[float]:
     u *= at - np.repeat(np.arange(0, chi.size, width), counts)  # k / sqrt(D0)
     terms = cohen_g(u)
     terms *= chi.ravel()[at]
-    rows, ends = memoryview(terms), ends.tolist()
-    return [math.fsum(rows[a:b]) for a, b in zip(ends, ends[1:])]
+    return _row_sums(terms, ends)
+
+
+def _row_sums(terms: np.ndarray, ends: np.ndarray) -> list[float]:
+    """math.fsum(terms[a:b]) for each pair of consecutive ends a < b, bit for bit.
+
+    The module docstring's certificate, per row of n terms x: q and r are
+    exact with |r| <= 2^-53 sigma; every partial sum of the q is a multiple
+    of 2^-53 sigma below sigma, so tau = sum q is exact in any order; and the
+    float sum of the r, in any order, is within gamma_(n-1) sum |r| <= err
+    of theirs.  Rounding is monotone, so where lo == hi that float is the
+    correctly rounded row sum.  Ties and exact zeros never pass.
+    """
+    rows, bounds = memoryview(terms), ends.tolist()
+    if len(terms) < ROW_SUM_MIN_TERMS:
+        redo = range(len(ends) - 1)
+        sums = [0.0] * len(redo)
+    else:
+        # the rows that overflow or meet a NaN are left to fsum, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            starts, counts = ends[:-1], np.diff(ends)
+            # maxima floored at 2^-900 keep err a normal float; a larger sigma is still exact
+            top = np.maximum(np.maximum.reduceat(np.abs(terms), starts), 2.0**-900)
+            shift = np.frexp(top)[1] + np.frexp(counts + 2.0)[1]
+            big = np.repeat(np.ldexp(1.0, shift), counts)  # each term's sigma
+            q = big + terms
+            q -= big
+            tau = np.add.reduceat(q, starts)
+            r = np.add.reduceat(np.subtract(terms, q, out=big), starts)
+            err = np.ldexp(2.0 * counts * counts, shift - 106)
+            # a non-finite sigma or term makes lo and hi NaN, which fails the test
+            lo, hi = tau + np.nextafter(r - err, -np.inf), tau + np.nextafter(r + err, np.inf)
+        sums = lo.tolist()
+        redo = np.flatnonzero(lo != hi).tolist()
+    for i in redo:
+        sums[i] = math.fsum(rows[bounds[i] : bounds[i + 1]])
+    return sums
 
 
 def l_value(D: int, table: SpfTable) -> float:

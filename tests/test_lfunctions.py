@@ -189,6 +189,106 @@ def test_cohen_series_rounds_the_exact_sum_of_its_terms_once():
         assert value == float(sum(map(Fraction, terms.tolist()))), d0
 
 
+ROW_CUT = lfunctions.ROW_SUM_MIN_TERMS
+# one float 2^-60 <= |x| < 2^21 with a random sign and 53-bit mantissa
+FLOATS = st.builds(
+    lambda s, m, e: math.ldexp(s * m, e),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(-59, 20),
+)
+
+
+def _rows(draw_rows):
+    terms = np.array([x for row in draw_rows for x in row])
+    ends = np.array([0] + [len(row) for row in draw_rows]).cumsum()
+    return terms, ends
+
+
+def _filler(n, seed):
+    """n terms of mixed signs and exponents 2^-60 .. 2^20, as one row."""
+    rng = np.random.default_rng(seed)
+    return np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-59, 21, n)).tolist()
+
+
+@st.composite
+def ragged_blocks(draw):
+    """Rows of 1 to 40 terms: plain, cancelling down to a few terms, or a tie."""
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["plain", "cancel", "tie", "one"]), min_size=1, max_size=24)):
+        if kind == "plain":
+            rows.append(draw(st.lists(FLOATS, min_size=1, max_size=40)))
+        elif kind == "cancel":
+            xs = draw(st.lists(FLOATS, min_size=1, max_size=20))
+            rest = draw(st.lists(FLOATS, max_size=3))
+            rows.append(draw(st.permutations(xs + [-x for x in xs] + rest)))
+        elif kind == "tie":
+            # x plus half an ulp of x, then possibly a nudge far below both
+            x = draw(FLOATS)
+            nudge = draw(st.sampled_from([[], [2.0**-100], [-(2.0**-100)]]))
+            rows.append(draw(st.permutations([x, math.copysign(math.ulp(x) / 2, x)] + nudge)))
+        else:
+            rows.append([draw(FLOATS)])
+    # blocks just under and at the cutoff, and far above it
+    total = sum(map(len, rows))
+    target = draw(st.sampled_from([None, ROW_CUT - 1, ROW_CUT, ROW_CUT + 1, 4 * ROW_CUT]))
+    if target is not None and total < target:
+        rows.insert(draw(st.integers(0, len(rows))), _filler(target - total, draw(st.integers(0, 2**32))))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ragged_blocks())
+def test_row_sums_match_fsum_bit_for_bit(rows):
+    terms, ends = _rows(rows)
+    got = lfunctions._row_sums(terms, ends)
+    assert [v.hex() for v in got] == [math.fsum(row).hex() for row in rows]
+
+
+# rows that cannot be certified: an exact tie, an exact zero, a NaN and an
+# infinity.  Then rows that the error-free route certifies where plain sum
+# rounds wrongly, and 13 terms whose q sum to an odd multiple of ulp(sigma)/2
+# at or past sigma / 2, so that a sigma one power of two lower rounds tau
+UNCERTIFIED = [[1.0, 2.0**-53], [1.0, -1.0], [1.0, math.nan], [-math.inf, 2.0]]
+CERTIFIED = [[1.0, 2.0**-53, 2.0**-53], [2.0**-53, 1.0, -(2.0**-54)], [0.9375] * 9 + [-(2.0**-50 + 2.0**-52)]]
+
+
+def test_row_sums_fall_back_to_fsum_only_where_uncertified(monkeypatch):
+    calls = []
+
+    def fsum(row):
+        calls.append(len(row))
+        return math.fsum(row)
+
+    monkeypatch.setattr(lfunctions, "math", type(math)("math"))
+    lfunctions.math.fsum = fsum
+    want = [math.fsum(row).hex() for row in UNCERTIFIED + CERTIFIED]
+    assert [math.fsum(row) for row in CERTIFIED[:2]] != [sum(row) for row in CERTIFIED[:2]]
+    # below the cutoff every row is summed by fsum
+    got = lfunctions._row_sums(*_rows(UNCERTIFIED + CERTIFIED))
+    assert [v.hex() for v in got] == want
+    assert len(calls) == len(UNCERTIFIED + CERTIFIED)
+    # above it only the rows that fail the test are
+    calls.clear()
+    filler = [_filler(n, n) for n in (700, 900, 1000)]
+    above = _rows(filler + UNCERTIFIED + CERTIFIED)
+    assert len(above[0]) >= ROW_CUT
+    got = lfunctions._row_sums(*above)
+    assert [v.hex() for v in got[3:]] == want
+    assert got[:3] == [math.fsum(row) for row in filler]
+    assert calls == [len(row) for row in UNCERTIFIED]
+
+
+def test_cohen_series_above_the_cutoff_is_bitwise_l_value():
+    # 40 series of about 1200 terms: one block far above the cutoff, each
+    # block of one below it, so the two routes sum every row
+    d0s = [d for d in range(10**5, 10**5 + 150) if d % 4 in (0, 1) and is_fundamental(d)][:40]
+    lengths = [series_length(d0) for d0 in d0s]
+    assert max(lengths) < ROW_CUT <= sum(lengths)
+    for D0, value in zip(d0s, cohen_series(d0s, BIG)):
+        assert (value / math.sqrt(D0)).hex() == l_value(D0, BIG).hex(), D0
+
+
 def test_g_table_regenerates_bit_for_bit():
     want = g_table()
     assert len(want) == len(G_PIECES)
